@@ -159,7 +159,8 @@ def _load_binary(path, blob):
     header_len = len(MATRIX_MAGIC) + 3 * 8
     if len(blob) < header_len:
         raise ParseError(f"{path}: truncated header")
-    n, d, flag = np.frombuffer(blob, dtype="<i8", count=3, offset=len(MATRIX_MAGIC))
+    # Python ints, so the byte count of a huge declared shape cannot wrap around
+    n, d, flag = (int(v) for v in np.frombuffer(blob, dtype="<i8", count=3, offset=len(MATRIX_MAGIC)))
     if n < 1 or d < 1 or flag not in (0, 1):
         raise ParseError(f"{path}: implausible header (n={n}, d={d}, labels={flag})")
     need = header_len + 8 * n * d + (8 * n if flag else 0)

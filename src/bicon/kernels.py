@@ -38,17 +38,31 @@ class KernelSpec:
 def squared_distances(a, b=None, block=128):
     """Pairwise squared euclidean distances between rows of a and b.
 
-    Accumulates per coordinate (difference, square, sum over the feature
-    axis), so each entry matches a direct per-pair recomputation bit for
-    bit. Blocked to bound the temporary to block*len(b)*d floats.
+    Each entry matches a direct per-pair recomputation
+    np.sum((a[i] - b[j]) ** 2) bit for bit. Below 8 terms np.sum adds in
+    order, left to right, so narrow inputs (width < 8) add the squared
+    differences one coordinate at a time into a single len(a)*len(b)
+    buffer: the same additions in the same order, without the
+    block*len(b)*d difference tensor. From 8 terms up np.sum adds
+    pairwise and its order cannot be replayed per coordinate, so wide
+    inputs keep the blocked path, which bounds the temporary to
+    block*len(b)*d floats.
     """
     a = np.asarray(a, dtype=float)
     b = a if b is None else np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"expected row matrices with equal widths, got {a.shape} and {b.shape}")
-    out = np.empty((a.shape[0], b.shape[0]))
     # overflow to inf is legal here; consumers validate finiteness
     with np.errstate(over="ignore"):
+        if a.shape[1] < 8:
+            out = np.zeros((a.shape[0], b.shape[0]))
+            diff = np.empty_like(out)
+            for k in range(a.shape[1]):
+                np.subtract(a[:, k, None], b[None, :, k], out=diff)
+                diff *= diff
+                out += diff
+            return out
+        out = np.empty((a.shape[0], b.shape[0]))
         for start in range(0, a.shape[0], block):
             diff = a[start:start + block, None, :] - b[None, :, :]
             out[start:start + block] = np.sum(diff * diff, axis=-1)
@@ -100,19 +114,24 @@ def kernel_rows(scores):
     n = s.shape[0]
     if n < 2:
         raise DimensionError("need at least 2 points for transition rows")
-    off = ~np.eye(n, dtype=bool)
-    if not np.all(np.isfinite(s[off])):
+    # one n x n buffer, updated in place: scores, shifted scores, weights, rows
+    w = s.copy()
+    np.fill_diagonal(w, 0.0)
+    if not np.all(np.isfinite(w)):
         raise DomainError("off-diagonal scores contain non-finite entries")
-    shifted = np.where(off, s, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
+    np.fill_diagonal(w, -np.inf)
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+    return w
 
 
 def softmax_rows_grad(q, dL_dq):
     """Pull a gradient in the transition rows back to the scores."""
     inner = np.sum(dL_dq * q, axis=1, keepdims=True)
-    return q * (dL_dq - inner)
+    out = dL_dq - inner
+    out *= q
+    return out
 
 
 def kernel_rows_grad(z, spec, dL_dq):
@@ -121,7 +140,9 @@ def kernel_rows_grad(z, spec, dL_dq):
     Chains loss -> transition rows -> scores -> embedding. For the
     angular family z is the raw (unnormalized) embedding; the unit-sphere
     normalization consumed by similarity_matrix is part of the chain, so
-    the returned gradient includes the tangent-space projection.
+    the returned gradient includes the tangent-space projection. Runs
+    learned_rows(z, spec) and then the same backward pass that the
+    training steps apply to their own forward rows.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(dL_dq, dtype=float)
@@ -129,20 +150,19 @@ def kernel_rows_grad(z, spec, dL_dq):
         raise DimensionError(f"shape mismatch: z {z.shape}, dL_dq {g.shape}")
     if np.any(np.diagonal(g) != 0.0):
         raise DomainError("dL_dq must be zero on the diagonal")
+    return _kernel_rows_backward(z, spec, learned_rows(z, spec), g)
+
+
+def _kernel_rows_backward(z, spec, q, dL_dq):
+    """kernel_rows_grad given q = learned_rows(z, spec) from the forward pass."""
+    t = softmax_rows_grad(q, dL_dq)
+    s = t + t.T
     if spec.family == "angular":
         norms = np.sqrt(np.sum(z * z, axis=1, keepdims=True))
-        if np.any(norms == 0.0):
-            raise DomainError("cannot normalize rows with zero norm")
         u = z / norms
-        q = kernel_rows(similarity_matrix(u, spec))
-        t = softmax_rows_grad(q, g)
-        s = t + t.T
         du = spec.scale * (s @ u)
         # project onto the tangent space of the unit sphere, undo the scaling
         return (du - np.sum(du * u, axis=1, keepdims=True) * u) / norms
-    q = kernel_rows(similarity_matrix(z, spec))
-    t = softmax_rows_grad(q, g)
-    s = t + t.T
     # d score_ij / d z_i = -2C (z_i - z_j)
     return -2.0 * spec.scale * (s.sum(axis=1, keepdims=True) * z - s @ z)
 
@@ -293,6 +313,12 @@ def cluster_transition(assignments):
     zero. A row whose off-diagonal overlap is all zero cannot be
     normalized and raises, carrying the row index.
     """
+    return _cluster_transition(assignments)[0]
+
+
+def _cluster_transition(assignments):
+    """cluster_transition's rows q and their overlap sums r (N x 1), which
+    _cluster_transition_backward reuses."""
     phi = np.asarray(assignments, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < 2:
         raise DimensionError(f"expected an N x C assignment matrix with N >= 2, got shape {phi.shape}")
@@ -303,25 +329,31 @@ def cluster_transition(assignments):
         raise DomainError(f"assignment rows must sum to 1 within 1e-9, worst error {err!r}")
     G = phi @ phi.T
     np.fill_diagonal(G, 0.0)
-    r = G.sum(axis=1)
+    r = G.sum(axis=1, keepdims=True)
     if np.any(r <= 0.0):
         row = int(np.argmax(r <= 0.0))
         raise DegenerateRowError(
             f"row {row} has zero overlap with every other point", row=row
         )
-    return G / r[:, None]
+    G /= r
+    return G, r
 
 
 def cluster_transition_grad(assignments, dL_dq):
-    """Pull a gradient in cluster_transition's output back to assignments."""
+    """Pull a gradient in cluster_transition's output back to assignments.
+
+    Runs cluster_transition first, so assignments are checked as there.
+    """
     phi = np.asarray(assignments, dtype=float)
     g = np.asarray(dL_dq, dtype=float)
     if g.shape != (phi.shape[0], phi.shape[0]):
         raise DimensionError(f"shape mismatch: assignments {phi.shape}, dL_dq {g.shape}")
-    G = phi @ phi.T
-    np.fill_diagonal(G, 0.0)
-    r = G.sum(axis=1, keepdims=True)
-    q = G / r
-    M = (g - np.sum(g * q, axis=1, keepdims=True)) / r
+    q, r = _cluster_transition(phi)
+    return _cluster_transition_backward(phi, q, r, g)
+
+
+def _cluster_transition_backward(phi, q, r, dL_dq):
+    """cluster_transition_grad given q, r = _cluster_transition(phi)."""
+    M = (dL_dq - np.sum(dL_dq * q, axis=1, keepdims=True)) / r
     np.fill_diagonal(M, 0.0)
     return (M + M.T) @ phi

@@ -10,6 +10,7 @@ for biases, and gaussian(0, 1e-2) for free embedding tables.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -144,10 +145,15 @@ def head_forward(head, x):
 
 
 def head_backward(head, x, dL_dprobs):
-    """Parameter gradients and dL/dx through the softmax head."""
+    """Parameter gradients and dL/dx through the softmax head; runs
+    head_forward first."""
     x = np.asarray(x, dtype=float)
+    return _head_backward(head, x, head_forward(head, x), dL_dprobs)
+
+
+def _head_backward(head, x, probs, dL_dprobs):
+    """head_backward given probs = head_forward(head, x) from the forward pass."""
     g = np.asarray(dL_dprobs, dtype=float)
-    probs = head_forward(head, x)
     if g.shape != probs.shape:
         raise DimensionError(f"gradient shape {g.shape} does not match assignments {probs.shape}")
     dlogits = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
@@ -251,10 +257,13 @@ def load_checkpoint(path):
         shapes.append(read_ints(ndim))
     tensors = []
     for shape in shapes:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        end = offset + 8 * size
-        if end > len(blob):
+        if any(dim < 0 for dim in shape):
+            raise ParseError(f"{path}: negative dimension in tensor shape {shape}")
+        # Python ints: a declared shape's byte count must not wrap around
+        size = math.prod(shape)
+        if 8 * size > len(blob) - offset:
             raise ParseError(f"{path}: truncated checkpoint payload")
+        end = offset + 8 * size
         arr = np.frombuffer(blob[offset:end], dtype="<f8").astype(float).reshape(shape)
         tensors.append(arr)
         offset = end

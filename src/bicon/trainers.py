@@ -22,16 +22,16 @@ from .evaluation import holdout_split, hungarian_accuracy, knn_accuracy, silhoue
 from .kernels import (
     KERNEL_FAMILIES,
     KernelSpec,
-    cluster_transition,
-    cluster_transition_grad,
-    kernel_rows_grad,
+    _cluster_transition,
+    _cluster_transition_backward,
+    _kernel_rows_backward,
     learned_rows,
     supervisory_knn,
     supervisory_labels,
     supervisory_sne,
     validate_distribution,
 )
-from .model import Adam, ClusterHead, Encoder, FreeEmbedding, backward, forward, head_backward, head_forward
+from .model import Adam, ClusterHead, Encoder, FreeEmbedding, _head_backward, backward, forward, head_forward
 
 LOG = logging.getLogger("bicon.trainers")
 
@@ -158,7 +158,12 @@ def loss_and_grad(divergence, p, q):
     gradient is scaled by 1/N; the diagonal of the gradient is forced to
     zero since diagonal entries are structural.
     """
-    p = validate_distribution(p)
+    return _loss_and_grad(divergence, validate_distribution(p), q)
+
+
+def _loss_and_grad(divergence, p, q):
+    """loss_and_grad for a p already validated where it was built; q is
+    still validated."""
     q = validate_distribution(q)
     if p.shape != q.shape:
         raise DimensionError(f"p and q shapes differ: {p.shape} vs {q.shape}")
@@ -168,27 +173,33 @@ def loss_and_grad(divergence, p, q):
     return loss, g
 
 
+# The assemblies below run each forward pass once and hand its results to
+# the backward pass. p must be a valid transition matrix: the engines
+# validate it once, where they build it, not on every step.
+
+
 def sne_free_value_and_grads(divergence, p, table, spec):
     q = learned_rows(table, spec)
-    loss, dq = loss_and_grad(divergence, p, q)
-    return loss, {"embedding": kernel_rows_grad(table, spec, dq)}
+    loss, dq = _loss_and_grad(divergence, p, q)
+    return loss, {"embedding": _kernel_rows_backward(table, spec, q, dq)}
 
 
 def encoder_value_and_grads(divergence, p, encoder, x, spec):
     z = forward(encoder, x)
     q = learned_rows(z, spec)
-    loss, dq = loss_and_grad(divergence, p, q)
-    dz = kernel_rows_grad(z, spec, dq)
+    loss, dq = _loss_and_grad(divergence, p, q)
+    dz = _kernel_rows_backward(z, spec, q, dq)
     grads, _ = backward(encoder, x, dz)
     return loss, grads
 
 
 def cluster_value_and_grads(divergence, p, head, x):
+    x = np.asarray(x, dtype=float)
     phi = head_forward(head, x)
-    q = cluster_transition(phi)
-    loss, dq = loss_and_grad(divergence, p, q)
-    dphi = cluster_transition_grad(phi, dq)
-    grads, _ = head_backward(head, x, dphi)
+    q, r = _cluster_transition(phi)
+    loss, dq = _loss_and_grad(divergence, p, q)
+    dphi = _cluster_transition_backward(phi, q, r, dq)
+    grads, _ = _head_backward(head, x, phi, dphi)
     return loss, grads
 
 
@@ -265,42 +276,38 @@ def _embedding_metrics(emb, labels, seed):
     return out
 
 
-def run_sne(config, x, mode=None, labels=None):
+def run_sne(config, x, labels=None):
     """Full-batch 2-D embedding against Gaussian conditional rows.
 
-    mode 'free' trains one row per point (initialized from x itself when
-    x already has out_dim columns); 'parametric' trains an encoder.
-    Supervisory rows are computed once; each epoch is one Adam step.
+    cfg.mode 'free' trains one row per point (initialized from x itself
+    when x already has out_dim columns); 'parametric' trains an encoder.
+    Supervisory rows are computed and validated once; each epoch is one
+    Adam step.
     """
     cfg = resolve_config(config)
-    mode = mode or cfg.mode
     x = np.asarray(x, dtype=float)
-    p = supervisory_sne(x, cfg.perplexity)
+    p = validate_distribution(supervisory_sne(x, cfg.perplexity))
     spec = KernelSpec(cfg.kernel, cfg.scale)
     rng = np.random.default_rng([cfg.seed, 1])
-    if mode == "free":
+    if cfg.mode == "free":
         if x.shape[1] == cfg.out_dim:
             model = FreeEmbedding(x.copy())
         else:
             model = FreeEmbedding.init(x.shape[0], cfg.out_dim, rng, scale=cfg.init_scale)
-    elif mode == "parametric":
-        model = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
+        compute = lambda: sne_free_value_and_grads(cfg.divergence, p, model.table, spec)
+        embed = lambda: model.table
     else:
-        raise ConfigError(f"mode must be 'free' or 'parametric', got {mode!r}")
+        model = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
+        compute = lambda: encoder_value_and_grads(cfg.divergence, p, model, x, spec)
+        embed = lambda: forward(model, x)
     opt = Adam(model.params(), lr=cfg.lr)
     report = _new_report(model.params(), cfg, model)
     for step in range(cfg.epochs):
-        if mode == "free":
-            compute = lambda: sne_free_value_and_grads(cfg.divergence, p, model.table, spec)
-        else:
-            compute = lambda: encoder_value_and_grads(cfg.divergence, p, model, x, spec)
         loss = _guarded_step(step, cfg.divergence, compute, opt, report, cfg.grad_clip)
         if (step + 1) % cfg.eval_every == 0 or step == cfg.epochs - 1:
-            emb = model.table if mode == "free" else forward(model, x)
-            report.snapshots.append((step, _embedding_metrics(emb, labels, cfg.seed)))
+            report.snapshots.append((step, _embedding_metrics(embed(), labels, cfg.seed)))
         LOG.debug("sne step %d loss %.6g", step, loss)
-    embedding = model.table if mode == "free" else forward(model, x)
-    return report, embedding
+    return report, embed()
 
 
 def _epoch_batches(n, batch_size, rng):
@@ -344,7 +351,7 @@ def run_cluster(config, x, labels=None):
     step = 0
     for epoch in range(cfg.epochs):
         for batch in _epoch_batches(x.shape[0], cfg.batch_size, shuffle_rng):
-            pb = _sub_rows(p_full, batch)
+            pb = validate_distribution(_sub_rows(p_full, batch))
             loss = _guarded_step(
                 step,
                 cfg.divergence,
@@ -415,7 +422,7 @@ def run_supcon(config, x, labels):
     window = []
     for epoch in range(cfg.epochs):
         for batch in _balanced_batches(train_idx, y, cfg.batch_size, shuffle_rng):
-            pb = supervisory_labels(y[batch])
+            pb = validate_distribution(supervisory_labels(y[batch]))
             loss = _guarded_step(
                 step,
                 cfg.divergence,

@@ -2,6 +2,7 @@
 grids, and run/eval metric consistency."""
 
 import json
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from bicon.cli import (
 )
 from bicon.data import DatasetSpec, generate, save_csv
 from bicon.errors import ConfigError
+from bicon.model import CHECKPOINT_MAGIC
 
 
 def write_json(path, payload):
@@ -420,6 +422,16 @@ class TestEvalCommand:
         ])
         assert rc == EXIT_CONFIG
         assert "24" in capsys.readouterr().err
+
+    def test_eval_overflowing_checkpoint_shape_exits_2(self, tmp_path, capsys):
+        # a free checkpoint declaring shape (2^40, 2^40) and no payload
+        ckpt = tmp_path / "huge.bicn"
+        ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5q", 0, 1, 2, 2 ** 40, 2 ** 40))
+        data_path = tmp_path / "data.csv"
+        save_csv(generate(DatasetSpec(n=12, d=2, classes=2, seed=0)), data_path)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_path), "--metrics", "knn"])
+        assert rc == EXIT_CONFIG
+        assert "truncated checkpoint payload" in capsys.readouterr().err
 
 
 def test_module_entry_point_help():

@@ -7,6 +7,7 @@ import pytest
 
 from bicon import DatasetSpec, generate, load_matrix
 from bicon.data import (
+    MATRIX_MAGIC,
     LabeledMatrix,
     emit_report_csv,
     emit_scatter_svg,
@@ -140,6 +141,13 @@ class TestMatrixIO:
         save_binary(m, path)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(ParseError):
+            load_matrix(path)
+
+    def test_overflowing_binary_header(self, tmp_path):
+        # n = d = 2^62: an int64 byte count wraps to the header length alone
+        path = tmp_path / "huge.bin"
+        path.write_bytes(MATRIX_MAGIC + np.array([2 ** 62, 2 ** 62, 1], dtype="<i8").tobytes())
+        with pytest.raises(ParseError, match="bytes for the declared shape"):
             load_matrix(path)
 
     def test_empty_file(self, tmp_path):

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bicon import (
     KernelSpec,
@@ -362,3 +365,37 @@ class TestGeometricInvariances:
         d2 = squared_distances(x, block=64)
         direct = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_allclose(d2, direct, atol=1e-9)
+
+
+@st.composite
+def row_matrix_pairs(draw):
+    """Two row matrices of one random width in 1..12: both sides of the
+    width-8 switch between the per-coordinate and the blocked path."""
+    d = draw(st.integers(1, 12))
+    elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=elements))
+    b = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=elements))
+    return a, b
+
+
+class TestSquaredDistancesProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(row_matrix_pairs(), st.integers(1, 4))
+    def test_matches_per_pair_sum_bit_for_bit(self, pair, block):
+        a, b = pair
+        want = np.array([[np.sum((a[i] - b[j]) ** 2) for j in range(b.shape[0])]
+                         for i in range(a.shape[0])])
+        assert np.array_equal(squared_distances(a, b, block=block), want)
+        want_self = np.array([[np.sum((a[i] - a[j]) ** 2) for j in range(a.shape[0])]
+                              for i in range(a.shape[0])])
+        assert np.array_equal(squared_distances(a, block=block), want_self)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 11), st.floats(1e155, 1e300))
+    def test_overflow_gives_inf(self, d, col, big):
+        col %= d
+        a = np.zeros((2, d))
+        a[0, col] = big
+        d2 = squared_distances(a, np.zeros((3, d)))
+        assert np.all(d2[0] == np.inf)
+        assert np.all(d2[1] == 0.0)

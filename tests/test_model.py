@@ -1,10 +1,13 @@
 """Forward/backward parameter containers, Adam, and checkpoint IO."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from bicon.errors import DimensionError, NumericalError, ParseError
 from bicon.model import (
+    CHECKPOINT_MAGIC,
     Adam,
     ClusterHead,
     Encoder,
@@ -226,4 +229,18 @@ class TestCheckpoints:
         save_checkpoint(path, FreeEmbedding(rng.normal(size=(4, 2))))
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(ParseError):
+            load_checkpoint(path)
+
+    def test_overflowing_shape_is_a_parse_error(self, tmp_path):
+        # 2^40 * 2^40 entries: an int64 product of the shape wraps to 0
+        path = tmp_path / "huge.bicn"
+        # kind tag 0 (free), one tensor of rank 2, no payload
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5q", 0, 1, 2, 2 ** 40, 2 ** 40))
+        with pytest.raises(ParseError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_negative_dimension_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "negative.bicn"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5q", 0, 1, 2, -2, 3))
+        with pytest.raises(ParseError, match="negative dimension"):
             load_checkpoint(path)

@@ -14,9 +14,22 @@ from bicon import (
     run_supcon,
 )
 from bicon.errors import ConfigError, DimensionError, NumericalError
-from bicon.kernels import learned_rows, supervisory_knn, supervisory_labels, supervisory_sne
-from bicon.model import forward
-from bicon.trainers import resolve_config
+from bicon.kernels import (
+    cluster_transition,
+    cluster_transition_grad,
+    kernel_rows_grad,
+    learned_rows,
+    supervisory_knn,
+    supervisory_labels,
+    supervisory_sne,
+)
+from bicon.model import ClusterHead, Encoder, backward, forward, head_backward, head_forward
+from bicon.trainers import (
+    cluster_value_and_grads,
+    encoder_value_and_grads,
+    resolve_config,
+    sne_free_value_and_grads,
+)
 
 DIVS = ("KL", "TV", "JSD", "Hellinger")
 
@@ -88,6 +101,55 @@ class TestLossAndGrad:
         np.fill_diagonal(q, 0.0)
         with pytest.raises(DimensionError):
             loss_and_grad("KL", p, q)
+
+
+class TestFusedAssemblies:
+    """Each training step reuses its forward pass in the backward pass; the
+    result must equal the public chain, which runs every forward again."""
+
+    @pytest.mark.parametrize("family", ["distance", "angular"])
+    @pytest.mark.parametrize("div", DIVS)
+    def test_sne_free_matches_public_chain(self, div, family):
+        rng = np.random.default_rng(83)
+        p = supervisory_sne(rng.normal(size=(12, 3)), 4.0)
+        table = rng.normal(size=(12, 2))
+        spec = KernelSpec(family, 1.5)
+        loss, dq = loss_and_grad(div, p, learned_rows(table, spec))
+        fused_loss, grads = sne_free_value_and_grads(div, p, table, spec)
+        assert fused_loss == loss
+        assert np.array_equal(grads["embedding"], kernel_rows_grad(table, spec, dq))
+
+    @pytest.mark.parametrize("family", ["distance", "angular"])
+    @pytest.mark.parametrize("div", DIVS)
+    def test_encoder_matches_public_chain(self, div, family):
+        rng = np.random.default_rng(89)
+        x = rng.normal(size=(10, 3))
+        p = supervisory_labels(np.repeat(np.arange(5), 2))
+        enc = Encoder.init("mlp1", 3, 6, 4, rng)
+        spec = KernelSpec(family, 1.5)
+        z = forward(enc, x)
+        loss, dq = loss_and_grad(div, p, learned_rows(z, spec))
+        want, _ = backward(enc, x, kernel_rows_grad(z, spec, dq))
+        fused_loss, grads = encoder_value_and_grads(div, p, enc, x, spec)
+        assert fused_loss == loss
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
+
+    @pytest.mark.parametrize("div", DIVS)
+    def test_cluster_matches_public_chain(self, div):
+        rng = np.random.default_rng(97)
+        x = rng.normal(size=(11, 3))
+        p = supervisory_knn(x, 3)
+        head = ClusterHead.init(3, 4, rng)
+        phi = head_forward(head, x)
+        loss, dq = loss_and_grad(div, p, cluster_transition(phi))
+        want, _ = head_backward(head, x, cluster_transition_grad(phi, dq))
+        fused_loss, grads = cluster_value_and_grads(div, p, head, x)
+        assert fused_loss == loss
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
 
 
 class TestResolveConfig:
@@ -170,6 +232,29 @@ class TestRunSne:
         assert np.all(np.isfinite(report.losses))
         assert emb.shape == (300, 2)
         assert report.snapshots[-1][1]["knn"] >= 0.95
+
+
+    @pytest.mark.parametrize("mode", ["free", "parametric"])
+    def test_one_distance_pass_per_step(self, monkeypatch, mode):
+        import bicon.evaluation
+        import bicon.kernels
+
+        calls = []
+        original = bicon.kernels.squared_distances
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bicon.kernels, "squared_distances", counted)
+        monkeypatch.setattr(bicon.evaluation, "squared_distances", counted)
+        ds = toy_blobs(n=16, d=3)
+        cfg = {"task": "sne", "divergence": "JSD", "lr": 0.01, "epochs": 7,
+               "perplexity": 4.0, "eval_every": 3, "mode": mode, "hidden": 4, "seed": 0}
+        report, _ = run_sne(cfg, ds.features, labels=ds.labels)
+        # one per step, one for the target rows, knn and silhouette per snapshot
+        assert len(report.snapshots) == 3
+        assert len(calls) == 7 + 1 + 2 * 3
 
 
 class TestRunCluster:
