@@ -149,6 +149,8 @@ def _load_csv_text(path, text):
             raise ParseError(f"{path}: line {lineno}: {e}") from e
     if not feats:
         raise ParseError(f"{path}: no data rows")
+    if not all(0 <= v < 2 ** 63 for v in labels):
+        raise ParseError(f"{path}: labels must be non-negative 64-bit integers")
     x = np.asarray(feats, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ParseError(f"{path}: features contain non-finite values")
@@ -171,6 +173,8 @@ def _load_binary(path, blob):
         raise ParseError(f"{path}: features contain non-finite values")
     if flag:
         y = np.frombuffer(blob, dtype="<i8", offset=header_len + 8 * n * d).astype(np.int64)
+        if np.any(y < 0):
+            raise ParseError(f"{path}: labels must be non-negative")
     else:
         y = np.zeros(n, dtype=np.int64)
     return LabeledMatrix(x, y)

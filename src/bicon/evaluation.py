@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError
-from .kernels import squared_distances
+from .kernels import _nearest, squared_distances
 from .model import Adam, ClusterHead, head_forward
 
 
@@ -136,8 +136,7 @@ def knn_accuracy(train_z, train_y, test_z, test_y, k=7):
     if not (1 <= k <= train_z.shape[0]):
         raise DomainError(f"k must lie in [1, {train_z.shape[0]}], got {k!r}")
     d2 = squared_distances(test_z, train_z)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    votes = train_y[order]
+    votes = train_y[_nearest(d2, k)]
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     counts = np.zeros((test_z.shape[0], n_classes), dtype=np.int64)
     np.add.at(counts, (np.arange(test_z.shape[0])[:, None], votes), 1)

@@ -25,7 +25,7 @@ from .kernels import (
     supervisory_labels,
     supervisory_sne,
 )
-from .model import ClusterHead, Encoder, backward, forward, head_backward, head_forward
+from .model import ClusterHead, Encoder, backward, forward, head_backward, head_forward, softmax_rows
 from .trainers import (
     cluster_value_and_grads,
     encoder_value_and_grads,
@@ -106,12 +106,6 @@ def check_divergences(seed=0, trials=20, n=8):
     return results
 
 
-def _softmax(rows):
-    shifted = rows - rows.max(axis=1, keepdims=True)
-    w = np.exp(shifted)
-    return w / w.sum(axis=1, keepdims=True)
-
-
 def check_kernels(seed=0, trials=10):
     """Worst relative error of the kernel-row and cluster-transition
     gradient chains, probed with a random linear functional of the rows."""
@@ -137,12 +131,12 @@ def check_kernels(seed=0, trials=10):
         logits = rng.standard_normal((6, 4))
         A = rng.standard_normal((6, 6))
         np.fill_diagonal(A, 0.0)
-        phi = _softmax(logits)
+        phi = softmax_rows(logits)
         dphi = cluster_transition_grad(phi, A)
         analytic = phi * (dphi - np.sum(dphi * phi, axis=1, keepdims=True))
 
         def value():
-            return float(np.sum(A * cluster_transition(_softmax(logits))))
+            return float(np.sum(A * cluster_transition(softmax_rows(logits))))
 
         worst = max(worst, rel_error(analytic, fd_grad(value, logits)))
     results.append(("cluster-transition", worst))

@@ -20,6 +20,9 @@ KERNEL_FAMILIES = ("angular", "distance")
 
 _UNIT_TOL = 1e-9
 
+# floats per squared_distances buffer: a block of rows times len(b)
+_BLOCK_FLOATS = 1 << 15
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -35,38 +38,100 @@ class KernelSpec:
             raise DomainError(f"kernel scale must be finite and > 0, got {self.scale!r}")
 
 
-def squared_distances(a, b=None, block=128):
+def squared_distances(a, b=None, block=None):
     """Pairwise squared euclidean distances between rows of a and b.
 
     Each entry matches a direct per-pair recomputation
-    np.sum((a[i] - b[j]) ** 2) bit for bit. Below 8 terms np.sum adds in
-    order, left to right, so narrow inputs (width < 8) add the squared
-    differences one coordinate at a time into a single len(a)*len(b)
-    buffer: the same additions in the same order, without the
-    block*len(b)*d difference tensor. From 8 terms up np.sum adds
-    pairwise and its order cannot be replayed per coordinate, so wide
-    inputs keep the blocked path, which bounds the temporary to
-    block*len(b)*d floats.
+    np.sum((a[i] - b[j]) ** 2) bit for bit, because the squared
+    differences are added in np.sum's own pairwise order, replayed one
+    coordinate at a time over whole block x len(b) buffers:
+
+    - fewer than 8 terms are added left to right;
+    - 8 to 128 terms go to 8 running sums (term t to sum t % 8) while
+      whole groups of 8 remain; the sums are combined as
+      ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), and the last
+      len % 8 terms are then added in order;
+    - more than 128 terms split at half the count, rounded down to a
+      multiple of 8, and the two halves' sums are added.
+
+    Rows of a are taken block at a time. By default a block holds about
+    2**15 / len(b) rows, so that each buffer (about 2**15 floats) stays
+    in cache. The buffers come from one allocation: one temporary, and
+    from 8 terms up 7 running sums beside the output rows, plus one per
+    level of splitting.
     """
     a = np.asarray(a, dtype=float)
     b = a if b is None else np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"expected row matrices with equal widths, got {a.shape} and {b.shape}")
+    n, m = a.shape[0], b.shape[0]
+    if block is None:
+        block = max(1, _BLOCK_FLOATS // max(m, 1))
+    out = np.empty((n, m))
+    # one contiguous row per coordinate
+    at = np.ascontiguousarray(a.T)
+    bt = at if b is a else np.ascontiguousarray(b.T)
+    tmp, *sums = np.empty((1 + _sums_needed(a.shape[1]), min(block, n), m))
     # overflow to inf is legal here; consumers validate finiteness
     with np.errstate(over="ignore"):
-        if a.shape[1] < 8:
-            out = np.zeros((a.shape[0], b.shape[0]))
-            diff = np.empty_like(out)
-            for k in range(a.shape[1]):
-                np.subtract(a[:, k, None], b[None, :, k], out=diff)
-                diff *= diff
-                out += diff
-            return out
-        out = np.empty((a.shape[0], b.shape[0]))
-        for start in range(0, a.shape[0], block):
-            diff = a[start:start + block, None, :] - b[None, :, :]
-            out[start:start + block] = np.sum(diff * diff, axis=-1)
+        for start in range(0, n, block):
+            rows = out[start:start + block]
+            _add_squares(rows, at[:, start:start + block], bt, tmp[:len(rows)], sums)
     return out
+
+
+def _sums_needed(count):
+    """Running-sum buffers that _add_squares needs for count terms."""
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return max(_sums_needed(half), 1 + _sums_needed(count - half))
+    return 7 if count >= 8 else 0
+
+
+def _add_squares(dst, ac, bc, tmp, sums, level=0):
+    """Set dst[i, j] to the sum over k of (ac[k, i] - bc[k, j]) ** 2,
+    added in np.sum's order (see squared_distances). A leaf at this
+    level adds into dst and sums[level:level + 7]; a split keeps its
+    second half's sum in sums[level]."""
+    count = ac.shape[0]
+
+    def square(k, into):
+        np.subtract(ac[k, :, None], bc[k], out=into)
+        np.multiply(into, into, out=into)
+
+    def add(k, into):
+        square(k, tmp)
+        into += tmp
+
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        _add_squares(dst, ac[:half], bc[:half], tmp, sums, level)
+        rest = sums[level][:len(dst)]
+        _add_squares(rest, ac[half:], bc[half:], tmp, sums, level + 1)
+        dst += rest
+    elif count >= 8:
+        s = [dst] + [buf[:len(dst)] for buf in sums[level:level + 7]]
+        whole = count - count % 8
+        for k in range(8):
+            square(k, s[k])
+        for k in range(8, whole):
+            add(k, s[k % 8])
+        s[0] += s[1]
+        s[2] += s[3]
+        s[0] += s[2]
+        s[4] += s[5]
+        s[6] += s[7]
+        s[4] += s[6]
+        s[0] += s[4]
+        for k in range(whole, count):
+            add(k, dst)
+    elif count:
+        # np.sum starts at 0.0, and 0.0 + t == t for every square t
+        square(0, dst)
+        for k in range(1, count):
+            add(k, dst)
+    else:
+        dst.fill(0.0)
 
 
 def normalize_rows(z):
@@ -300,10 +365,35 @@ def supervisory_knn(x, k):
         raise DomainError(f"k must lie in [1, N-1] = [1, {n - 1}], got {k!r}")
     d2 = squared_distances(x)
     np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     P = np.zeros((n, n))
-    np.put_along_axis(P, order, 1.0 / k, axis=1)
+    np.put_along_axis(P, _nearest(d2, k), 1.0 / k, axis=1)
     return P
+
+
+def _nearest(d2, k):
+    """Column indices of each row's k smallest entries, in ascending
+    column order: the index set of np.argsort(d2, axis=1,
+    kind="stable")[:, :k], found without a full sort.
+
+    np.partition finds each row's k-th smallest value; the row takes
+    every entry below it, then the lowest-index entries equal to it
+    until it has k. NaN counts as larger than +inf, as in argsort, so a
+    row with fewer than k non-NaN entries fills up with its first NaNs.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    below = d2 < kth
+    tied = d2 == kth
+    short = np.isnan(kth[:, 0])
+    if short.any():
+        nan = np.isnan(d2[short])
+        below[short] = ~nan
+        tied[short] = nan
+    need = k - np.count_nonzero(below, axis=1)
+    over = np.count_nonzero(tied, axis=1) > need
+    if over.any():
+        tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
+    below |= tied
+    return np.nonzero(below)[1].reshape(-1, k)
 
 
 def cluster_transition(assignments):

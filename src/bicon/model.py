@@ -138,9 +138,13 @@ def head_forward(head, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != head.W.shape[0]:
         raise DimensionError(f"input shape {x.shape} does not match W {head.W.shape}")
-    logits = x @ head.W + head.b
-    logits = logits - logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
+    return softmax_rows(x @ head.W + head.b)
+
+
+def softmax_rows(logits):
+    """Row softmax; each row is shifted by its maximum before exponentiation."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    w = np.exp(shifted)
     return w / w.sum(axis=1, keepdims=True)
 
 
@@ -208,7 +212,8 @@ def _model_from_tensors(kind, tensors):
     return ClusterHead(W, b)
 
 
-_EXPECTED_TENSORS = {"free": 1, "linear": 2, "mlp1": 4, "head": 2}
+# tensor ranks per model kind, in params() order
+_TENSOR_RANKS = {"free": (2,), "linear": (2, 1), "mlp1": (2, 1, 2, 1), "head": (2, 1)}
 
 
 def save_checkpoint(path, model):
@@ -246,15 +251,20 @@ def load_checkpoint(path):
     if tag not in _TAG_KINDS:
         raise ParseError(f"{path}: unknown model kind tag {tag}")
     kind = _TAG_KINDS[tag]
+    ranks = _TENSOR_RANKS[kind]
     (count,) = read_ints(1)
-    if count != _EXPECTED_TENSORS[kind]:
-        raise ParseError(f"{path}: expected {_EXPECTED_TENSORS[kind]} tensors for {kind!r}, header says {count}")
+    if count != len(ranks):
+        raise ParseError(f"{path}: expected {len(ranks)} tensors for {kind!r}, header says {count}")
     shapes = []
-    for _ in range(count):
+    for i, rank in enumerate(ranks):
         (ndim,) = read_ints(1)
-        if not (0 <= ndim <= 8):
-            raise ParseError(f"{path}: implausible tensor rank {ndim}")
+        if ndim != rank:
+            raise ParseError(f"{path}: tensor {i} of a {kind!r} model must have rank {rank}, header says {ndim}")
         shapes.append(read_ints(ndim))
+    # each tensor's first dimension is the last one of the tensor before it
+    for prev, shape in zip(shapes, shapes[1:]):
+        if shape[0] != prev[-1]:
+            raise ParseError(f"{path}: tensor shapes {prev} and {shape} do not fit together")
     tensors = []
     for shape in shapes:
         if any(dim < 0 for dim in shape):
@@ -265,6 +275,8 @@ def load_checkpoint(path):
             raise ParseError(f"{path}: truncated checkpoint payload")
         end = offset + 8 * size
         arr = np.frombuffer(blob[offset:end], dtype="<f8").astype(float).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            raise ParseError(f"{path}: tensor {len(tensors)} contains non-finite values")
         tensors.append(arr)
         offset = end
     if offset != len(blob):

@@ -22,9 +22,9 @@ from bicon.cli import (
     parse_sweep,
     sweep_cells,
 )
-from bicon.data import DatasetSpec, generate, save_csv
+from bicon.data import DatasetSpec, LabeledMatrix, generate, save_binary, save_csv
 from bicon.errors import ConfigError
-from bicon.model import CHECKPOINT_MAGIC
+from bicon.model import CHECKPOINT_MAGIC, FreeEmbedding, save_checkpoint
 
 
 def write_json(path, payload):
@@ -433,6 +433,28 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
         assert "truncated checkpoint payload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("rank-1 table", "must have rank 2"),
+        ("non-finite table", "non-finite"),
+        ("negative labels", "labels must be non-negative"),
+    ])
+    def test_eval_malformed_input_exits_2(self, tmp_path, capsys, case, message):
+        table = np.random.default_rng(0).normal(size=(12, 2))
+        ckpt = tmp_path / "free.bicn"
+        if case == "rank-1 table":
+            # kind tag 0 (free), one tensor of rank 1 holding the same 24 floats
+            ckpt.write_bytes(CHECKPOINT_MAGIC + struct.pack("<4q", 0, 1, 1, 24) + table.tobytes())
+        else:
+            if case == "non-finite table":
+                table[3, 1] = np.nan
+            save_checkpoint(ckpt, FreeEmbedding(table))
+        m = generate(DatasetSpec(n=12, d=2, classes=2, seed=0))
+        labels = -1 - m.labels if case == "negative labels" else m.labels
+        data_path = tmp_path / "data.bin"
+        save_binary(LabeledMatrix(m.features, labels), data_path)
+        rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_path), "--metrics", "knn"])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
 def test_module_entry_point_help():
     proc = subprocess.run(

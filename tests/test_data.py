@@ -150,6 +150,20 @@ class TestMatrixIO:
         with pytest.raises(ParseError, match="bytes for the declared shape"):
             load_matrix(path)
 
+    def test_negative_binary_label(self, tmp_path):
+        m = LabeledMatrix(np.zeros((3, 2)), np.array([0, -1, 2]))
+        path = tmp_path / "m.bin"
+        save_binary(m, path)
+        with pytest.raises(ParseError, match="labels must be non-negative"):
+            load_matrix(path)
+
+    @pytest.mark.parametrize("label", ["-1", str(2 ** 63)])
+    def test_csv_label_out_of_range(self, tmp_path, label):
+        path = tmp_path / "m.csv"
+        path.write_text(f"f0,f1,label\n0.5,1.0,0\n1.0,2.0,{label}\n")
+        with pytest.raises(ParseError, match="labels must be non-negative"):
+            load_matrix(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

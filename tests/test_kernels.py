@@ -19,7 +19,9 @@ from bicon import (
     supervisory_sne,
 )
 from bicon.errors import DegenerateRowError, DimensionError, DomainError
+from bicon.evaluation import knn_accuracy
 from bicon.kernels import (
+    _nearest,
     cluster_transition_grad,
     learned_rows,
     normalize_rows,
@@ -369,29 +371,47 @@ class TestGeometricInvariances:
 
 @st.composite
 def row_matrix_pairs(draw):
-    """Two row matrices of one random width in 1..12: both sides of the
-    width-8 switch between the per-coordinate and the blocked path."""
-    d = draw(st.integers(1, 12))
-    elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
-    a = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=elements))
-    b = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=elements))
-    return a, b
+    """Two row matrices of one random width in 1..300, with up to 40 rows:
+    below 8 terms, the 8 running sums with their remainder, and the
+    splits above 128 terms. Entries span twelve decades, so that any
+    change in the order of the additions changes the rounding."""
+    d = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def rows():
+        n = draw(st.integers(1, 40))
+        return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, d))
+
+    return rows(), rows()
+
+
+def per_pair_sums(a, b):
+    return np.array([[np.sum((a[i] - b[j]) ** 2) for j in range(b.shape[0])]
+                     for i in range(a.shape[0])])
 
 
 class TestSquaredDistancesProperties:
-    @settings(max_examples=300, deadline=None)
-    @given(row_matrix_pairs(), st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    @given(row_matrix_pairs(), st.none() | st.integers(1, 16))
     def test_matches_per_pair_sum_bit_for_bit(self, pair, block):
         a, b = pair
-        want = np.array([[np.sum((a[i] - b[j]) ** 2) for j in range(b.shape[0])]
-                         for i in range(a.shape[0])])
-        assert np.array_equal(squared_distances(a, b, block=block), want)
-        want_self = np.array([[np.sum((a[i] - a[j]) ** 2) for j in range(a.shape[0])]
-                              for i in range(a.shape[0])])
-        assert np.array_equal(squared_distances(a, block=block), want_self)
+        assert np.array_equal(squared_distances(a, b, block=block), per_pair_sums(a, b))
+        assert np.array_equal(squared_distances(a, block=block), per_pair_sums(a, a))
+
+    @pytest.mark.parametrize("d", [7, 8, 15, 128, 129, 136, 256, 257, 264, 520])
+    def test_every_summation_shape(self, d):
+        # the boundaries of np.sum's order: 8 terms, 128, and 2 and 3 levels of splits
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(5, d)) * 10.0 ** rng.uniform(-6, 6, size=(5, d))
+        b = rng.normal(size=(3, d)) * 10.0 ** rng.uniform(-6, 6, size=(3, d))
+        for block in (None, 2):
+            assert np.array_equal(squared_distances(a, b, block=block), per_pair_sums(a, b))
+
+    def test_zero_width_is_zero(self):
+        assert np.array_equal(squared_distances(np.zeros((3, 0)), np.zeros((2, 0))), np.zeros((3, 2)))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 12), st.integers(0, 11), st.floats(1e155, 1e300))
+    @given(st.integers(1, 300), st.integers(0, 299), st.floats(1e155, 1e300))
     def test_overflow_gives_inf(self, d, col, big):
         col %= d
         a = np.zeros((2, d))
@@ -399,3 +419,61 @@ class TestSquaredDistancesProperties:
         d2 = squared_distances(a, np.zeros((3, d)))
         assert np.all(d2[0] == np.inf)
         assert np.all(d2[1] == 0.0)
+
+
+@st.composite
+def tied_distance_rows(draw):
+    """Small-integer distance matrices, heavy with ties, inf and NaN, and
+    a k from 1 to the row length."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+    return draw(arrays(np.float64, (n, m), elements=values)), draw(st.integers(1, m))
+
+
+def argsort_knn(x, k):
+    """supervisory_knn with a full stable argsort, as the reference."""
+    d2 = squared_distances(x)
+    np.fill_diagonal(d2, np.inf)
+    P = np.zeros((x.shape[0], x.shape[0]))
+    np.put_along_axis(P, np.argsort(d2, axis=1, kind="stable")[:, :k], 1.0 / k, axis=1)
+    return P
+
+
+def argsort_knn_accuracy(train_z, train_y, test_z, test_y, k):
+    """knn_accuracy with a full stable argsort, as the reference."""
+    order = np.argsort(squared_distances(test_z, train_z), axis=1, kind="stable")[:, :k]
+    counts = np.zeros((test_z.shape[0], int(max(train_y.max(), test_y.max())) + 1), dtype=np.int64)
+    np.add.at(counts, (np.arange(test_z.shape[0])[:, None], train_y[order]), 1)
+    return float(np.mean(counts.argmax(axis=1) == test_y))
+
+
+# coordinates on a coarse grid, so that many distances tie
+grid_rows = st.integers(2, 30).flatmap(
+    lambda n: arrays(np.float64, (n, 2), elements=st.integers(-2, 2).map(float))
+)
+
+
+class TestNearest:
+    @settings(max_examples=500, deadline=None)
+    @given(tied_distance_rows())
+    def test_same_index_set_as_stable_argsort(self, rows):
+        d2, k = rows
+        want = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+        assert np.array_equal(_nearest(d2, k), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_rows, st.integers(1, 29))
+    def test_supervisory_knn_matches_argsort(self, x, k):
+        k = min(k, x.shape[0] - 1)
+        assert np.array_equal(supervisory_knn(x, k), argsort_knn(x, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(grid_rows, grid_rows, st.integers(0, 2 ** 32 - 1), st.integers(1, 30))
+    def test_knn_accuracy_matches_argsort(self, train_z, test_z, seed, k):
+        rng = np.random.default_rng(seed)
+        train_y = rng.integers(0, 3, size=train_z.shape[0])
+        test_y = rng.integers(0, 3, size=test_z.shape[0])
+        k = min(k, train_z.shape[0])
+        assert knn_accuracy(train_z, train_y, test_z, test_y, k=k) == argsort_knn_accuracy(
+            train_z, train_y, test_z, test_y, k
+        )

@@ -244,3 +244,25 @@ class TestCheckpoints:
         path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<5q", 0, 1, 2, -2, 3))
         with pytest.raises(ParseError, match="negative dimension"):
             load_checkpoint(path)
+
+    def test_wrong_rank_is_a_parse_error(self, tmp_path):
+        # kind tag 0 (free), one tensor of rank 1 with 3 entries
+        path = tmp_path / "rank1.bicn"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<4q", 0, 1, 1, 3) + struct.pack("<3d", 1.0, 2.0, 3.0))
+        with pytest.raises(ParseError, match="rank 2"):
+            load_checkpoint(path)
+
+    def test_shapes_that_do_not_chain_are_a_parse_error(self, tmp_path):
+        path = tmp_path / "chain.bicn"
+        save_checkpoint(path, Encoder("mlp1", np.ones((2, 4)), np.zeros(4), np.ones((5, 3)), np.zeros(3)))
+        with pytest.raises(ParseError, match="do not fit together"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_a_parse_error(self, tmp_path, bad):
+        path = tmp_path / "nonfinite.bicn"
+        b = np.zeros(3)
+        b[1] = bad
+        save_checkpoint(path, ClusterHead(np.ones((2, 3)), b))
+        with pytest.raises(ParseError, match="tensor 1 contains non-finite"):
+            load_checkpoint(path)
