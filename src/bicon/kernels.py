@@ -59,6 +59,11 @@ def squared_distances(a, b=None, block=None):
     in cache. The buffers come from one allocation: one temporary, and
     from 8 terms up 7 running sums beside the output rows, plus one per
     level of splitting.
+
+    A blocked np.sum(diff * diff, axis=-1) gives the same bits, but it
+    reduces a d-long inner axis once per entry: at d = 2 that is about
+    9 times slower, and at d = 16 about 1.6 times (numpy 2.4, one Xeon
+    core).
     """
     a = np.asarray(a, dtype=float)
     b = a if b is None else np.asarray(b, dtype=float)
@@ -71,6 +76,10 @@ def squared_distances(a, b=None, block=None):
     # one contiguous row per coordinate
     at = np.ascontiguousarray(a.T)
     bt = at if b is a else np.ascontiguousarray(b.T)
+    # one allocation, not one per buffer: freeing a block this large (2 MB
+    # from 8 terms up) raises glibc's dynamic mmap threshold, which keeps
+    # the N x N temporaries of supervisory_sne and the SNE step on the heap
+    # instead of mapping and faulting them in afresh on every call
     tmp, *sums = np.empty((1 + _sums_needed(a.shape[1]), min(block, n), m))
     # overflow to inf is legal here; consumers validate finiteness
     with np.errstate(over="ignore"):

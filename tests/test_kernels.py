@@ -370,17 +370,32 @@ class TestGeometricInvariances:
 
 
 @st.composite
+def narrow_row_matrix_pairs(draw):
+    """Two row matrices of one random width in 1..12: the terms added
+    left to right, and the 8 running sums with their remainder."""
+    d = draw(st.integers(1, 12))
+    elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    a = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=elements))
+    b = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=elements))
+    return a, b
+
+
+@st.composite
 def row_matrix_pairs(draw):
     """Two row matrices of one random width in 1..300, with up to 40 rows:
     below 8 terms, the 8 running sums with their remainder, and the
     splits above 128 terms. Entries span twelve decades, so that any
-    change in the order of the additions changes the rounding."""
+    change in the order of the additions changes the rounding; some
+    draws also zero a share of them."""
     d = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.5]))
 
     def rows():
         n = draw(st.integers(1, 40))
-        return rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, d))
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-6, 6, size=(n, d))
+        x[rng.random((n, d)) < zeros] = 0.0
+        return x
 
     return rows(), rows()
 
@@ -391,9 +406,16 @@ def per_pair_sums(a, b):
 
 
 class TestSquaredDistancesProperties:
-    @settings(max_examples=150, deadline=None)
-    @given(row_matrix_pairs(), st.none() | st.integers(1, 16))
+    @settings(max_examples=300, deadline=None)
+    @given(narrow_row_matrix_pairs(), st.integers(1, 4))
     def test_matches_per_pair_sum_bit_for_bit(self, pair, block):
+        a, b = pair
+        assert np.array_equal(squared_distances(a, b, block=block), per_pair_sums(a, b))
+        assert np.array_equal(squared_distances(a, block=block), per_pair_sums(a, a))
+
+    @settings(max_examples=300, deadline=None)
+    @given(row_matrix_pairs(), st.none() | st.integers(1, 16))
+    def test_wide_matches_per_pair_sum_bit_for_bit(self, pair, block):
         a, b = pair
         assert np.array_equal(squared_distances(a, b, block=block), per_pair_sums(a, b))
         assert np.array_equal(squared_distances(a, block=block), per_pair_sums(a, a))
