@@ -206,10 +206,10 @@ def cmd_run(args):
     cells = []
     for index, name, overrides in sweep_cells(axes):
         cell_loss, cell_data = _merge_cell(loss, data, overrides)
+        resolve_config({**cell_loss, "task": args.task})
         if "seed" not in swept:
             # isolate each cell's RNG streams behind its own derived seed
-            cell_loss["seed"] = int(loss.get("seed", 0)) + index
-        resolve_config({**cell_loss, "task": args.task})
+            cell_loss["seed"] = loss.get("seed", 0) + index
         cells.append((name, cell_loss, cell_data))
 
     out_root = Path(args.out)
@@ -281,11 +281,21 @@ def cmd_eval(args):
     manifest_path = Path(args.checkpoint).parent / "manifest.json"
     digest, seed = None, args.seed
     if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ParseError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+        config = manifest.get("config", {}) if isinstance(manifest, dict) else None
+        if not isinstance(config, dict):
+            raise ParseError(f"manifest {manifest_path} is not an object with a 'config' object")
         digest = manifest.get("hash")
         if seed is None:
-            seed = manifest.get("config", {}).get("seed")
-    seed = 0 if seed is None else int(seed)
+            seed = config.get("seed")
+            if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
+                raise ParseError(f"manifest {manifest_path} has seed {seed!r}, not an integer >= 0")
+    seed = 0 if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if digest is None:
         digest = config_hash({"checkpoint": Path(args.checkpoint).name, "metrics": metrics, "seed": seed})
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ParseError
+from .errors import ConfigError, DimensionError, ParseError, check_field_types
 
 GENERATORS = ("gaussian_blobs", "concentric_rings", "file")
 
@@ -43,12 +43,15 @@ class LabeledMatrix:
 
 
 def _validate_spec(spec):
+    check_field_types(spec, "data_")
     if spec.generator not in GENERATORS:
         raise ConfigError(f"unknown generator {spec.generator!r}; expected one of {GENERATORS}")
     if spec.generator == "file":
         if not spec.path:
             raise ConfigError("generator 'file' needs a path")
         return
+    if spec.seed < 0:
+        raise ConfigError(f"need seed >= 0, got {spec.seed}")
     if spec.classes < 2:
         raise ConfigError(f"need at least 2 classes, got {spec.classes}")
     if spec.n < 2 * spec.classes:

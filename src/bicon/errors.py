@@ -1,8 +1,12 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the type check of
+config dataclasses.
 
 The CLI maps these onto exit codes: config/parse problems exit 2,
 numerical aborts exit 3.
 """
+
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class DimensionError(ValueError):
@@ -33,3 +37,22 @@ class NumericalError(RuntimeError):
 
 class DegenerateRowError(NumericalError):
     """A transition-matrix row has no mass left to normalize."""
+
+
+_FIELD_TYPES = {"int": (Integral, "an integer"), "float": (Real, "a number"), "str": (str, "a string")}
+
+
+def check_field_types(config, prefix=""):
+    """Raise ConfigError unless every field of a config dataclass holds its
+    annotated type: int fields take integers but not bools, float fields
+    integers or floats, str fields strings, and `T | None` fields also
+    None. The annotations must be strings (`from __future__ import
+    annotations`). prefix is prepended to field names in the message."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind, _, optional = f.type.partition(" | ")
+        if value is None and optional:
+            continue
+        cls, noun = _FIELD_TYPES[kind]
+        if isinstance(value, bool) or not isinstance(value, cls):
+            raise ConfigError(f"{prefix}{f.name} must be {noun}, got {value!r}")

@@ -187,83 +187,53 @@ def _tv_margin_ok(divergence, p, q):
     return float(np.min(np.abs(p - q)[off])) > _TV_MARGIN
 
 
-def _check_tensors(value, params, analytic):
-    worst = 0.0
-    for name, tensor in params.items():
-        worst = max(worst, rel_error(analytic[name], fd_grad(value, tensor)))
-    return worst
+def _e2e(div, seed, stream, build):
+    """Worst relative error of one assembly's gradient in each of its
+    parameter tensors, on the first of 50 instances whose TV margin holds.
 
-
-def _e2e_sne_free(div, family, seed):
-    spec = KernelSpec(family, 1.25)
+    build(rng) draws an instance and returns (p, q, params, assembly): the
+    target rows, the learned rows, the parameter tensors, and
+    assembly(div) -> (loss, grads).
+    """
     for attempt in range(50):
-        rng = np.random.default_rng([seed, 41, attempt])
-        x = rng.standard_normal((10, 3))
-        p = supervisory_sne(x, 4.0)
-        table = 0.8 * rng.standard_normal((10, 2))
-        if not _tv_margin_ok(div, p, learned_rows(table, spec)):
+        p, q, params, assembly = build(np.random.default_rng([seed, stream, attempt]))
+        if not _tv_margin_ok(div, p, q):
             continue
-        loss, grads = sne_free_value_and_grads(div, p, table, spec)
-
-        def value():
-            return sne_free_value_and_grads(div, p, table, spec)[0]
-
-        return _check_tensors(value, {"embedding": table}, grads)
-    raise NumericalError("could not build a margin-safe sne instance")
+        _, grads = assembly(div)
+        value = lambda: assembly(div)[0]
+        return max(rel_error(grads[name], fd_grad(value, tensor)) for name, tensor in params.items())
+    raise NumericalError(f"could not build a margin-safe instance on stream {stream} for {div}")
 
 
-def _e2e_sne_parametric(div, family, seed):
-    spec = KernelSpec(family, 1.25)
-    for attempt in range(50):
-        rng = np.random.default_rng([seed, 43, attempt])
-        x = rng.standard_normal((10, 3))
-        p = supervisory_sne(x, 4.0)
-        enc = Encoder.init("mlp1", 3, 4, 2, rng)
-        if not _tv_margin_ok(div, p, learned_rows(forward(enc, x), spec)):
-            continue
-        loss, grads = encoder_value_and_grads(div, p, enc, x, spec)
-
-        def value():
-            return encoder_value_and_grads(div, p, enc, x, spec)[0]
-
-        return _check_tensors(value, enc.params(), grads)
-    raise NumericalError("could not build a margin-safe sne instance")
+def _sne_free(rng, spec):
+    p = supervisory_sne(rng.standard_normal((10, 3)), 4.0)
+    table = 0.8 * rng.standard_normal((10, 2))
+    assembly = lambda div: sne_free_value_and_grads(div, p, table, spec)
+    return p, learned_rows(table, spec), {"embedding": table}, assembly
 
 
-def _e2e_supcon(div, family, seed):
-    spec = KernelSpec(family, 1.25)
-    labels = np.array([0, 0, 1, 1, 2, 2, 3, 3])
-    p = supervisory_labels(labels)
-    for attempt in range(50):
-        rng = np.random.default_rng([seed, 47, attempt])
-        x = rng.standard_normal((8, 3))
-        enc = Encoder.init("mlp1", 3, 4, 3, rng)
-        if not _tv_margin_ok(div, p, learned_rows(forward(enc, x), spec)):
-            continue
-        loss, grads = encoder_value_and_grads(div, p, enc, x, spec)
-
-        def value():
-            return encoder_value_and_grads(div, p, enc, x, spec)[0]
-
-        return _check_tensors(value, enc.params(), grads)
-    raise NumericalError("could not build a margin-safe supcon instance")
+def _sne_parametric(rng, spec):
+    x = rng.standard_normal((10, 3))
+    p = supervisory_sne(x, 4.0)
+    enc = Encoder.init("mlp1", 3, 4, 2, rng)
+    assembly = lambda div: encoder_value_and_grads(div, p, enc, x, spec)
+    return p, learned_rows(forward(enc, x), spec), enc.params(), assembly
 
 
-def _e2e_cluster(div, seed):
-    for attempt in range(50):
-        rng = np.random.default_rng([seed, 53, attempt])
-        x = rng.standard_normal((9, 3))
-        p = supervisory_knn(x, 3)
-        head = ClusterHead.init(3, 4, rng)
-        if not _tv_margin_ok(div, p, cluster_transition(head_forward(head, x))):
-            continue
-        loss, grads = cluster_value_and_grads(div, p, head, x)
+def _supcon(rng, spec):
+    x = rng.standard_normal((8, 3))
+    enc = Encoder.init("mlp1", 3, 4, 3, rng)
+    p = supervisory_labels(np.array([0, 0, 1, 1, 2, 2, 3, 3]))
+    assembly = lambda div: encoder_value_and_grads(div, p, enc, x, spec)
+    return p, learned_rows(forward(enc, x), spec), enc.params(), assembly
 
-        def value():
-            return cluster_value_and_grads(div, p, head, x)[0]
 
-        return _check_tensors(value, head.params(), grads)
-    raise NumericalError("could not build a margin-safe cluster instance")
+def _cluster(rng):
+    x = rng.standard_normal((9, 3))
+    p = supervisory_knn(x, 3)
+    head = ClusterHead.init(3, 4, rng)
+    assembly = lambda div: cluster_value_and_grads(div, p, head, x)
+    return p, cluster_transition(head_forward(head, x)), head.params(), assembly
 
 
 def check_end2end(seed=0):
@@ -272,11 +242,16 @@ def check_end2end(seed=0):
     results = []
     for div in divergences.KINDS:
         for family in KERNEL_FAMILIES:
-            results.append((f"sne-free/{div}/{family}", _e2e_sne_free(div, family, seed)))
-            results.append((f"sne-parametric/{div}/{family}", _e2e_sne_parametric(div, family, seed)))
-            results.append((f"supcon/{div}/{family}", _e2e_supcon(div, family, seed)))
+            spec = KernelSpec(family, 1.25)
+            for name, stream, build in (
+                ("sne-free", 41, _sne_free),
+                ("sne-parametric", 43, _sne_parametric),
+                ("supcon", 47, _supcon),
+            ):
+                err = _e2e(div, seed, stream, lambda rng: build(rng, spec))
+                results.append((f"{name}/{div}/{family}", err))
         # the cluster assembly has no kernel in its chain
-        results.append((f"cluster/{div}", _e2e_cluster(div, seed)))
+        results.append((f"cluster/{div}", _e2e(div, seed, 53, _cluster)))
     return results
 
 

@@ -1,12 +1,15 @@
 """Training engines that push learned transition rows toward supervisory
 ones under a chosen divergence.
 
-Three engines share one loss assembly: the mean over points i of
+Three engines share one loss, the mean over points i of
 D(p(.|i) || q(.|i)) with a uniform marginal over i, gradients flowing
-only into q. run_sne embeds points in 2-D against Gaussian conditional
-rows, run_cluster fits a softmax head whose assignment overlaps match a
-k-nearest-neighbor graph, run_supcon fits an encoder whose kernel rows
-match shared-label rows on class-balanced batches.
+only into q, and one loop, _train: batches of (target p, inputs), one
+Adam step per batch, metric snapshots every eval_every epochs. Each
+engine supplies only its target, model, batches and metrics. run_sne
+embeds points in 2-D against Gaussian conditional rows, one full batch
+per epoch; run_cluster fits a softmax head whose assignment overlaps
+match a k-nearest-neighbor graph; run_supcon fits an encoder whose
+kernel rows match shared-label rows on class-balanced batches.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .divergences import KINDS, divergence_grad_rows, divergence_rows
-from .errors import ConfigError, DimensionError, DomainError, NumericalError
+from .errors import ConfigError, DimensionError, DomainError, NumericalError, check_field_types
 from .evaluation import holdout_split, hungarian_accuracy, knn_accuracy, silhouette
 from .kernels import (
     KERNEL_FAMILIES,
@@ -86,6 +89,7 @@ def resolve_config(config):
         if "task" not in config or "divergence" not in config:
             raise ConfigError("config needs at least 'task' and 'divergence'")
         config = LossConfig(**config)
+    check_field_types(config)
     if config.task not in TASKS:
         raise ConfigError(f"unknown task {config.task!r}; expected one of {TASKS}")
     if config.divergence not in KINDS:
@@ -101,6 +105,8 @@ def resolve_config(config):
     cfg = replace(config, kernel=kernel, scale=scale, out_dim=out_dim, eval_every=eval_every)
     if cfg.batch_size < 4:
         raise ConfigError(f"batch_size must be >= 4, got {cfg.batch_size}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
     if cfg.epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {cfg.epochs}")
     if not (np.isfinite(cfg.lr) and cfg.lr >= 0.0):
@@ -203,38 +209,46 @@ def cluster_value_and_grads(divergence, p, head, x):
     return loss, grads
 
 
-def _check_loss(loss, step, divergence):
-    if not np.isfinite(loss):
-        raise NumericalError(
-            f"non-finite loss at step {step} (divergence {divergence})",
-            step=step,
-            divergence=divergence,
-        )
+def _train(cfg, model, batches, objective, evaluate):
+    """The training loop of every engine.
 
-
-def _guarded_step(step, divergence, compute, opt, report, grad_clip):
-    """One optimizer step; overflow anywhere in the chain aborts with the
-    step index and divergence tag attached."""
-    try:
-        loss, grads = compute()
-        _check_loss(loss, step, divergence)
-        _record(report, loss, grads)
-        opt.step(_clip(grads, grad_clip))
-        return loss
-    except NumericalError as exc:
-        if getattr(exc, "step", None) is None:
-            raise NumericalError(
-                f"non-finite values at step {step} (divergence {divergence}): {exc}",
-                step=step,
-                divergence=divergence,
-            ) from exc
-        raise
-    except DomainError as exc:
-        raise NumericalError(
-            f"non-finite values at step {step} (divergence {divergence}): {exc}",
-            step=step,
-            divergence=divergence,
-        ) from exc
+    Each epoch, batches() yields (p, inputs) pairs, p already validated;
+    objective(p, inputs) returns the loss and the gradient of each of
+    model.params(), and Adam takes one step. evaluate() gives the metric
+    dict snapshotted after every eval_every-th epoch and the last.
+    Overflow anywhere in a step aborts with the step index and divergence
+    tag attached.
+    """
+    params = model.params()
+    opt = Adam(params, lr=cfg.lr)
+    report = TrainReport(losses=[], grad_norms={name: [] for name in params}, snapshots=[],
+                         collapsed=False, config=cfg, model=model)
+    step = 0
+    for epoch in range(cfg.epochs):
+        first = step
+        for p, inputs in batches():
+            try:
+                loss, grads = objective(p, inputs)
+                if not np.isfinite(loss):
+                    raise NumericalError("non-finite loss")
+                report.losses.append(loss)
+                for name, g in grads.items():
+                    report.grad_norms[name].append(float(np.sqrt(np.sum(g * g))))
+                opt.step(_clip(grads, cfg.grad_clip))
+            except (NumericalError, DomainError) as exc:
+                raise NumericalError(
+                    f"non-finite values at step {step} (divergence {cfg.divergence}): {exc}",
+                    step=step,
+                    divergence=cfg.divergence,
+                ) from exc
+            step += 1
+        if step == first:
+            raise ConfigError(f"epoch {epoch} has no batch of at least 4 points")
+        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
+            metrics = evaluate()
+            report.snapshots.append((step - 1, metrics))
+            LOG.info("%s epoch %d loss %.6g %s", cfg.task, epoch, loss, metrics)
+    return report
 
 
 def _clip(grads, limit):
@@ -245,23 +259,6 @@ def _clip(grads, limit):
         if norm > limit:
             g *= limit / norm
     return grads
-
-
-def _record(report, loss, grads):
-    report.losses.append(loss)
-    for name, g in grads.items():
-        report.grad_norms[name].append(float(np.sqrt(np.sum(g * g))))
-
-
-def _new_report(params, cfg, model):
-    return TrainReport(
-        losses=[],
-        grad_norms={name: [] for name in params},
-        snapshots=[],
-        collapsed=False,
-        config=cfg,
-        model=model,
-    )
 
 
 def _embedding_metrics(emb, labels, seed):
@@ -294,28 +291,15 @@ def run_sne(config, x, labels=None):
             model = FreeEmbedding(x.copy())
         else:
             model = FreeEmbedding.init(x.shape[0], cfg.out_dim, rng, scale=cfg.init_scale)
-        compute = lambda: sne_free_value_and_grads(cfg.divergence, p, model.table, spec)
+        objective = lambda p, _: sne_free_value_and_grads(cfg.divergence, p, model.table, spec)
         embed = lambda: model.table
     else:
         model = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
-        compute = lambda: encoder_value_and_grads(cfg.divergence, p, model, x, spec)
+        objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, model, xb, spec)
         embed = lambda: forward(model, x)
-    opt = Adam(model.params(), lr=cfg.lr)
-    report = _new_report(model.params(), cfg, model)
-    for step in range(cfg.epochs):
-        loss = _guarded_step(step, cfg.divergence, compute, opt, report, cfg.grad_clip)
-        if (step + 1) % cfg.eval_every == 0 or step == cfg.epochs - 1:
-            report.snapshots.append((step, _embedding_metrics(embed(), labels, cfg.seed)))
-        LOG.debug("sne step %d loss %.6g", step, loss)
+    evaluate = lambda: _embedding_metrics(embed(), labels, cfg.seed)
+    report = _train(cfg, model, lambda: [(p, x)], objective, evaluate)
     return report, embed()
-
-
-def _epoch_batches(n, batch_size, rng):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        batch = perm[start:start + batch_size]
-        if batch.shape[0] >= 4:
-            yield batch
 
 
 def _sub_rows(p, idx):
@@ -335,39 +319,33 @@ def _sub_rows(p, idx):
 def run_cluster(config, x, labels=None):
     """Mini-batched cluster-head training against a kNN neighbor graph.
 
-    Supervisory rows are fixed up front; each batch renormalizes its
-    sub-rows. Snapshots record assignment accuracy when labels are given.
+    Supervisory rows are fixed up front; each epoch shuffles the points
+    into batches (a trailing batch of fewer than 4 is dropped), and each
+    batch renormalizes its sub-rows. Snapshots record assignment accuracy
+    when labels are given.
     """
     cfg = resolve_config(config)
     x = np.asarray(x, dtype=float)
     if cfg.task != "cluster":
         raise ConfigError(f"run_cluster got a config for task {cfg.task!r}")
     p_full = supervisory_knn(x, cfg.k)
-    rng = np.random.default_rng([cfg.seed, 1])
-    head = ClusterHead.init(x.shape[1], cfg.clusters, rng)
-    opt = Adam(head.params(), lr=cfg.lr)
-    report = _new_report(head.params(), cfg, head)
+    head = ClusterHead.init(x.shape[1], cfg.clusters, np.random.default_rng([cfg.seed, 1]))
     shuffle_rng = np.random.default_rng([cfg.seed, 7])
-    step = 0
-    for epoch in range(cfg.epochs):
-        for batch in _epoch_batches(x.shape[0], cfg.batch_size, shuffle_rng):
-            pb = validate_distribution(_sub_rows(p_full, batch))
-            loss = _guarded_step(
-                step,
-                cfg.divergence,
-                lambda: cluster_value_and_grads(cfg.divergence, pb, head, x[batch]),
-                opt,
-                report,
-                cfg.grad_clip,
-            )
-            step += 1
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            metrics = {}
-            if labels is not None:
-                pred = head_forward(head, x).argmax(axis=1)
-                metrics["hungarian"] = hungarian_accuracy(pred, labels)
-            report.snapshots.append((step - 1, metrics))
-            LOG.info("cluster epoch %d loss %.6g %s", epoch, loss, metrics)
+
+    def batches():
+        perm = shuffle_rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], cfg.batch_size):
+            batch = perm[start:start + cfg.batch_size]
+            if batch.shape[0] >= 4:
+                yield validate_distribution(_sub_rows(p_full, batch)), x[batch]
+
+    def evaluate():
+        if labels is None:
+            return {}
+        return {"hungarian": hungarian_accuracy(head_forward(head, x).argmax(axis=1), labels)}
+
+    objective = lambda p, xb: cluster_value_and_grads(cfg.divergence, p, head, xb)
+    report = _train(cfg, head, batches, objective, evaluate)
     return report, head_forward(head, x)
 
 
@@ -395,12 +373,26 @@ def _balanced_batches(indices, labels, batch_size, rng):
         yield rng.permutation(np.concatenate(parts))
 
 
+def _collapsed(series, chance, arm, trip, window):
+    """Whether a snapshot accuracy series collapsed: its mean over the last
+    `window` snapshots reached arm * chance and later fell under
+    trip * chance."""
+    armed = False
+    for end in range(1, len(series) + 1):
+        recent = float(np.mean(series[max(0, end - window):end]))
+        if recent >= arm * chance:
+            armed = True
+        elif armed and recent < trip * chance:
+            return True
+    return False
+
+
 def run_supcon(config, x, labels):
     """Class-balanced contrastive encoder training against shared-label rows.
 
     A fixed holdout is kept out of the batches; snapshots track its kNN
-    accuracy, and the collapse flag trips when the windowed accuracy falls
-    under collapse_trip * chance after exceeding collapse_arm * chance.
+    accuracy, and the collapse flag is set when that series collapses
+    (see _collapsed) under the config's collapse thresholds.
     """
     cfg = resolve_config(config)
     x = np.asarray(x, dtype=float)
@@ -412,37 +404,22 @@ def run_supcon(config, x, labels):
     spec = KernelSpec(cfg.kernel, cfg.scale)
     rng = np.random.default_rng([cfg.seed, 1])
     encoder = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
-    opt = Adam(encoder.params(), lr=cfg.lr)
-    report = _new_report(encoder.params(), cfg, encoder)
     train_idx, test_idx = holdout_split(x.shape[0], 0.25, cfg.seed)
-    chance = 1.0 / np.unique(y).shape[0]
     shuffle_rng = np.random.default_rng([cfg.seed, 7])
-    step = 0
-    armed = False
-    window = []
-    for epoch in range(cfg.epochs):
+
+    def batches():
         for batch in _balanced_batches(train_idx, y, cfg.batch_size, shuffle_rng):
-            pb = validate_distribution(supervisory_labels(y[batch]))
-            loss = _guarded_step(
-                step,
-                cfg.divergence,
-                lambda: encoder_value_and_grads(cfg.divergence, pb, encoder, x[batch], spec),
-                opt,
-                report,
-                cfg.grad_clip,
-            )
-            step += 1
-        if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            z = forward(encoder, x)
-            acc = knn_accuracy(z[train_idx], y[train_idx], z[test_idx], y[test_idx], k=7)
-            window.append(acc)
-            recent = float(np.mean(window[-cfg.collapse_window:]))
-            if recent >= cfg.collapse_arm * chance:
-                armed = True
-            elif armed and recent < cfg.collapse_trip * chance:
-                report.collapsed = True
-            report.snapshots.append((step - 1, {"knn": acc}))
-            LOG.info("supcon epoch %d loss %.6g val knn %.4f", epoch, loss, acc)
+            yield validate_distribution(supervisory_labels(y[batch])), x[batch]
+
+    def evaluate():
+        z = forward(encoder, x)
+        return {"knn": knn_accuracy(z[train_idx], y[train_idx], z[test_idx], y[test_idx], k=7)}
+
+    objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, encoder, xb, spec)
+    report = _train(cfg, encoder, batches, objective, evaluate)
+    chance = 1.0 / np.unique(y).shape[0]
+    knn = [metrics["knn"] for _, metrics in report.snapshots]
+    report.collapsed = _collapsed(knn, chance, cfg.collapse_arm, cfg.collapse_trip, cfg.collapse_window)
     return report, encoder
 
 

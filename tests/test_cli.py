@@ -24,6 +24,7 @@ from bicon.cli import (
 )
 from bicon.data import DatasetSpec, LabeledMatrix, generate, save_binary, save_csv
 from bicon.errors import ConfigError
+from bicon.gradcheck import SCOPES, TOL, run_scope
 from bicon.model import CHECKPOINT_MAGIC, FreeEmbedding, save_checkpoint
 
 
@@ -168,6 +169,12 @@ class TestGradcheckCommand:
             main(["gradcheck", "everything"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("scope", SCOPES)
+    def test_every_scope_within_tolerance(self, scope):
+        results = run_scope(scope)
+        assert results
+        assert [component for component, err in results if not err <= TOL] == []
+
 
 class TestRunCommand:
     def test_sne_run_emits_all_artifacts(self, tmp_path, capsys):
@@ -242,6 +249,31 @@ class TestRunCommand:
         rc = main(["run", "sne", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override, sweep, message", [
+        ({"epochs": "10"}, [], "epochs must be an integer, got '10'"),
+        ({"epochs": 3.5}, [], "epochs must be an integer, got 3.5"),
+        ({"epochs": True}, [], "epochs must be an integer, got True"),
+        ({"data_n": "40"}, [], "data_n must be an integer, got '40'"),
+        ({}, ["--sweep", "epochs=ten"], "epochs must be an integer, got 'ten'"),
+        ({"seed": -1}, ["--sweep", "lr=0.1,0.2"], "seed must be >= 0"),
+        ({"data_seed": -1}, [], "need seed >= 0"),
+    ], ids=["epochs-string", "epochs-float", "epochs-bool", "data_n-string", "sweep-epochs-word",
+            "negative-seed", "negative-data_seed"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, override, sweep, message):
+        cfg = write_json(tmp_path / "cfg.json", sne_config(**override))
+        rc = main(["run", "sne", "--config", cfg, "--out", str(tmp_path / "o"), *sweep])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+    def test_cluster_on_too_few_points_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "three.csv"
+        save_csv(LabeledMatrix(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0])), data)
+        cfg = write_json(tmp_path / "cfg.json", cluster_config(
+            data_generator="file", data_path=str(data), k=2, clusters=2, batch_size=4))
+        rc = main(["run", "cluster", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "no batch of at least 4 points" in capsys.readouterr().err
 
     def test_overflow_aborts_with_numerical_exit(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", sne_config(divergence="KL", lr=1e155))
@@ -437,8 +469,18 @@ class TestEvalCommand:
         ("rank-1 table", "must have rank 2"),
         ("non-finite table", "non-finite"),
         ("negative labels", "labels must be non-negative"),
+        ("manifest not JSON", "manifest.json is not valid JSON"),
+        ("manifest a list", "manifest.json is not an object with a 'config' object"),
+        ("manifest seed a string", "manifest.json has seed 'abc', not an integer >= 0"),
     ])
     def test_eval_malformed_input_exits_2(self, tmp_path, capsys, case, message):
+        manifests = {
+            "manifest not JSON": "{\"config\": ",
+            "manifest a list": "[]",
+            "manifest seed a string": json.dumps({"config": {"seed": "abc"}}),
+        }
+        if case in manifests:
+            (tmp_path / "manifest.json").write_text(manifests[case], encoding="utf-8")
         table = np.random.default_rng(0).normal(size=(12, 2))
         ckpt = tmp_path / "free.bicn"
         if case == "rank-1 table":

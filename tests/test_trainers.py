@@ -25,6 +25,7 @@ from bicon.kernels import (
 )
 from bicon.model import ClusterHead, Encoder, backward, forward, head_backward, head_forward
 from bicon.trainers import (
+    _collapsed,
     cluster_value_and_grads,
     encoder_value_and_grads,
     resolve_config,
@@ -344,6 +345,20 @@ class TestRunSupcon:
         report, _ = run_supcon(cfg, ds.features, ds.labels)
         assert len(report.losses) > 0
         assert report.collapsed is False
+
+    @pytest.mark.parametrize("series, window, collapsed", [
+        # arms at 0.8 >= 3 * chance, then the 3-snapshot mean falls to 0.33 < 1.5 * chance
+        ([0.8, 0.8, 0.8, 0.1, 0.1, 0.1], 3, True),
+        # under the trip level throughout, but never armed
+        ([0.5, 0.3, 0.2, 0.1], 3, False),
+        # armed; one dip to 0.1 averages to 0.57 over the window
+        ([0.8, 0.8, 0.8, 0.1, 0.8], 3, False),
+        # the same dip trips a window of 1
+        ([0.8, 0.8, 0.8, 0.1, 0.8], 1, True),
+    ])
+    def test_collapse_rule_on_hand_series(self, series, window, collapsed):
+        # chance 0.25 with the default thresholds: arm at 0.75, trip under 0.375
+        assert _collapsed(series, 0.25, 3.0, 1.5, window) is collapsed
 
     def test_improves_knn(self):
         ds = toy_blobs(n=80, d=6, classes=2, seed=8)
