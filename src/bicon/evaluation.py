@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError
-from .kernels import _nearest, squared_distances
+from .kernels import _knn, squared_distances
 from .model import Adam, ClusterHead, head_forward
 
 
@@ -121,7 +121,9 @@ def knn_accuracy(train_z, train_y, test_z, test_y, k=7):
     """Majority-vote k-nearest-neighbor accuracy under euclidean distance.
 
     Distance ties are broken toward the smaller training index, vote ties
-    toward the smallest class id.
+    toward the smallest class id. The neighbors are those of the exact
+    squared_distances matrix, found by kernels._knn's certified
+    prefilter without building that matrix.
     """
     train_z = np.asarray(train_z, dtype=float)
     test_z = np.asarray(test_z, dtype=float)
@@ -135,8 +137,7 @@ def knn_accuracy(train_z, train_y, test_z, test_y, k=7):
         raise DomainError("class ids must be non-negative")
     if not (1 <= k <= train_z.shape[0]):
         raise DomainError(f"k must lie in [1, {train_z.shape[0]}], got {k!r}")
-    d2 = squared_distances(test_z, train_z)
-    votes = train_y[_nearest(d2, k)]
+    votes = train_y[_knn(test_z, train_z, k)]
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     counts = np.zeros((test_z.shape[0], n_classes), dtype=np.int64)
     np.add.at(counts, (np.arange(test_z.shape[0])[:, None], votes), 1)
@@ -190,7 +191,9 @@ def silhouette(z, labels):
     if k < 2:
         raise DomainError("silhouette needs at least 2 distinct clusters")
     n = z.shape[0]
-    D = np.sqrt(np.maximum(squared_distances(z), 0.0))
+    # in place: at N points, each N x N temporary is 8 N^2 bytes
+    D = squared_distances(z)
+    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
     onehot = inv[:, None] == np.arange(k)[None, :]
     sums = D @ onehot
     counts = onehot.sum(axis=0)

@@ -364,7 +364,9 @@ def supervisory_labels(labels):
 def supervisory_knn(x, k):
     """Uniform neighbor rows over each point's k nearest others.
 
-    Distance ties are broken toward the smaller index.
+    Distance ties are broken toward the smaller index. The neighbors are
+    those of the exact squared_distances matrix, found by _knn's
+    certified prefilter without building that matrix.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -372,11 +374,113 @@ def supervisory_knn(x, k):
     n = x.shape[0]
     if not (1 <= k <= n - 1):
         raise DomainError(f"k must lie in [1, N-1] = [1, {n - 1}], got {k!r}")
-    d2 = squared_distances(x)
-    np.fill_diagonal(d2, np.inf)
     P = np.zeros((n, n))
-    np.put_along_axis(P, _nearest(d2, k), 1.0 / k, axis=1)
+    np.put_along_axis(P, _knn(x, x, k, exclude_self=True), 1.0 / k, axis=1)
     return P
+
+
+# unit roundoff and smallest subnormal of float64
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
+
+
+def _knn(a, b, k, exclude_self=False):
+    """Column indices of each row of a's k nearest rows of b, in
+    ascending column order: _nearest(squared_distances(a, b), k), with
+    the diagonal set to +inf first when exclude_self (a is b), found
+    without building the N x M matrix of exact distances.
+
+    Each row is ranked by h_ij = |b_j|^2 - 2 a_i . b_j from one
+    (-2 a) @ b.T product (doubling is exact); |a_i|^2 is the same along a
+    row, so it does not change the order. Only the pairs that h cannot
+    rule out get their exact distance e_ij, the squared_distances value.
+    Rows of a are ranked a block at a time (about 2**15 entries of h,
+    as in squared_distances), so h and its partition stay in cache and
+    no N x M array is built; the candidates' exact distances are then
+    computed in chunks of about 2**18 floats.
+
+    The error bound (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sections 2.1 and 3.1). Let u be the unit
+    roundoff, d the width, gamma_n = n u / (1 - n u), A = |a_i|^2,
+    B = max_j |b_j|^2 and eta the smallest subnormal. A product that
+    underflows is off by at most eta / 2; a sum loses nothing to
+    underflow. Then:
+
+    - e_ij adds d rounded squares of rounded differences, in any order,
+      so it is within gamma_(d+2) |a_i - b_j|^2 + d eta / 2 of the exact
+      |a_i - b_j|^2, which is at most 2 (A + B);
+    - (-2 a_i) . b_j and |b_j|^2, summed in any order (blocked, threaded
+      or fused BLAS included), are each within gamma_d times the sum of
+      their terms' magnitudes, plus d eta / 2; with 2 |a_i| |b_j| <= A + B
+      and the final addition, h_ij is within gamma_(d+1) (A + 2 B) +
+      d eta of the exact |b_j|^2 - 2 a_i . b_j.
+
+    So |h_ij + A - e_ij| <= 4 gamma_(d+2) (A + B) + 2 d eta (1 + gamma_d).
+    slack_i = 8 (d + 4) (u (A + B) + eta) is about twice that, computed
+    from rounded norms; the spare covers the rounding of the norms, of
+    slack_i and of tau_i + 2 slack_i (about 2 u (A + B) at most).
+
+    Why no pair outside the candidates can be selected. tau_i is row i's
+    k-th smallest h. The k or more pairs with h_ij <= tau_i all have
+    e_ij <= tau_i + A + slack_i, so the k-th smallest exact distance
+    eps_k is at most that. A pair with h_ij > tau_i + 2 slack_i has
+    e_ij >= h_ij + A - slack_i > tau_i + A + slack_i >= eps_k: strictly
+    farther than the k-th exact distance, which no (distance, index) tie
+    can reach. Every pair with e_ij <= eps_k is thus a candidate, and
+    _nearest over the candidates, packed in ascending column order and
+    padded with +inf after them, picks what it would over the whole row.
+    With exclude_self the self pair is a candidate of value +inf, as in
+    the full row: an exact distance may overflow to +inf while the norms,
+    slack and h stay finite, and then it ties with the self pair.
+
+    The bound needs finite norms, slack and h. When an inf or NaN input,
+    or an overflow, makes any of them non-finite, every pair is a
+    candidate, and the full matrix comes from squared_distances: the same
+    selection without the prefilter.
+    """
+    n, d = a.shape
+    m = len(b)
+    # overflow, inf and NaN are legal here; they send the search down the full path
+    with np.errstate(over="ignore", invalid="ignore"):
+        bb = np.einsum("ij,ij->i", b, b)
+        slack = 8.0 * (d + 4) * (_U * (np.einsum("ij,ij->i", a, a) + bb.max()) + _ETA)
+    found = []
+    block = max(1, _BLOCK_FLOATS // max(m, 1))
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = (-2.0 * a[start:stop]) @ b.T
+            h += bb
+        if not (np.isfinite(slack[start:stop]).all() and np.isfinite(h).all()):
+            found = None
+            break
+        own = np.arange(stop - start), np.arange(start, stop)
+        if exclude_self:
+            h[own] = np.inf
+        keep = h <= (np.partition(h, k - 1, axis=1)[:, k - 1] + 2.0 * slack[start:stop])[:, None]
+        if exclude_self:
+            keep[own] = True
+        found.append(np.flatnonzero(keep) + start * m)
+    if found is not None:
+        rows, cols = np.divmod(np.concatenate(found), m)
+        e = np.empty(len(rows))
+        origin = np.zeros((1, d))
+        step = max(1, 8 * _BLOCK_FLOATS // max(d, 1))
+        for s in range(0, len(rows), step):
+            # |a_i - b_j - 0|^2 is squared_distances' value of the pair, bit for bit
+            e[s:s + step] = squared_distances(a[rows[s:s + step]] - b[cols[s:s + step]], origin)[:, 0]
+        counts = np.bincount(rows, minlength=n)
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        d2 = np.full((n, counts.max()), np.inf)
+        d2[rows, slot] = e
+        col = np.zeros(d2.shape, dtype=np.intp)
+        col[rows, slot] = cols
+    else:
+        d2 = squared_distances(a, b)
+        col = np.arange(m)[None, :]
+    if exclude_self:
+        d2[col == np.arange(n)[:, None]] = np.inf
+    return np.take_along_axis(col, _nearest(d2, k), axis=1)
 
 
 def _nearest(d2, k):

@@ -87,24 +87,36 @@ class Encoder:
 
 def forward(encoder, x):
     """Encoder output for a batch of rows."""
+    return _forward(encoder, x)[0]
+
+
+def _forward(encoder, x):
+    """forward's output and the hidden layer tanh(x W1 + b1) that _backward
+    reuses (None for a linear encoder)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != encoder.W1.shape[0]:
         raise DimensionError(f"input shape {x.shape} does not match W1 {encoder.W1.shape}")
     a = x @ encoder.W1 + encoder.b1
     if encoder.kind == "linear":
-        return a
-    return np.tanh(a) @ encoder.W2 + encoder.b2
+        return a, None
+    h = np.tanh(a)
+    return h @ encoder.W2 + encoder.b2, h
 
 
 def backward(encoder, x, dL_dout):
-    """Parameter gradients and dL/dx for a batch; recomputes the forward pass."""
+    """Parameter gradients and dL/dx for a batch; recomputes the forward
+    pass's hidden layer."""
     x = np.asarray(x, dtype=float)
+    return _backward(encoder, x, _forward(encoder, x)[1], dL_dout)
+
+
+def _backward(encoder, x, h, dL_dout):
+    """backward given h from _forward(encoder, x)."""
     g = np.asarray(dL_dout, dtype=float)
     if g.ndim != 2 or g.shape[0] != x.shape[0]:
         raise DimensionError(f"gradient shape {g.shape} does not match input {x.shape}")
     if encoder.kind == "linear":
         return {"W1": x.T @ g, "b1": g.sum(axis=0)}, g @ encoder.W1.T
-    h = np.tanh(x @ encoder.W1 + encoder.b1)
     dh = g @ encoder.W2.T
     da = dh * (1.0 - h * h)  # tanh' = 1 - tanh^2
     grads = {

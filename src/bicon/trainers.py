@@ -34,7 +34,7 @@ from .kernels import (
     supervisory_sne,
     validate_distribution,
 )
-from .model import Adam, ClusterHead, Encoder, FreeEmbedding, _head_backward, backward, forward, head_forward
+from .model import Adam, ClusterHead, Encoder, FreeEmbedding, _backward, _forward, _head_backward, forward, head_forward
 
 LOG = logging.getLogger("bicon.trainers")
 
@@ -129,8 +129,10 @@ def resolve_config(config):
         raise ConfigError(f"out_dim must be >= 1, got {cfg.out_dim}")
     if cfg.eval_every < 1:
         raise ConfigError(f"eval_every must be >= 1, got {cfg.eval_every}")
-    if cfg.grad_clip < 0.0:
-        raise ConfigError(f"grad_clip must be >= 0, got {cfg.grad_clip!r}")
+    if cfg.hidden < 1:
+        raise ConfigError(f"hidden must be >= 1, got {cfg.hidden}")
+    if not (np.isfinite(cfg.grad_clip) and cfg.grad_clip >= 0.0):
+        raise ConfigError(f"grad_clip must be finite and >= 0, got {cfg.grad_clip!r}")
     if cfg.collapse_window < 1 or cfg.collapse_trip <= 0 or cfg.collapse_arm <= cfg.collapse_trip:
         raise ConfigError("collapse thresholds need window >= 1 and arm > trip > 0")
     return cfg
@@ -191,11 +193,12 @@ def sne_free_value_and_grads(divergence, p, table, spec):
 
 
 def encoder_value_and_grads(divergence, p, encoder, x, spec):
-    z = forward(encoder, x)
+    x = np.asarray(x, dtype=float)
+    z, h = _forward(encoder, x)
     q = learned_rows(z, spec)
     loss, dq = _loss_and_grad(divergence, p, q)
     dz = _kernel_rows_backward(z, spec, q, dq)
-    grads, _ = backward(encoder, x, dz)
+    grads, _ = _backward(encoder, x, h, dz)
     return loss, grads
 
 

@@ -258,8 +258,10 @@ class TestRunCommand:
         ({}, ["--sweep", "epochs=ten"], "epochs must be an integer, got 'ten'"),
         ({"seed": -1}, ["--sweep", "lr=0.1,0.2"], "seed must be >= 0"),
         ({"data_seed": -1}, [], "need seed >= 0"),
+        ({"mode": "parametric", "hidden": 0}, [], "hidden must be >= 1, got 0"),
+        ({"grad_clip": float("nan")}, [], "grad_clip must be finite and >= 0, got nan"),
     ], ids=["epochs-string", "epochs-float", "epochs-bool", "data_n-string", "sweep-epochs-word",
-            "negative-seed", "negative-data_seed"])
+            "negative-seed", "negative-data_seed", "zero-hidden", "nan-grad_clip"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override, sweep, message):
         cfg = write_json(tmp_path / "cfg.json", sne_config(**override))
         rc = main(["run", "sne", "--config", cfg, "--out", str(tmp_path / "o"), *sweep])

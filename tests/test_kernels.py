@@ -18,9 +18,11 @@ from bicon import (
     supervisory_labels,
     supervisory_sne,
 )
+from bicon import kernels
 from bicon.errors import DegenerateRowError, DimensionError, DomainError
 from bicon.evaluation import knn_accuracy
 from bicon.kernels import (
+    _knn,
     _nearest,
     cluster_transition_grad,
     learned_rows,
@@ -499,3 +501,126 @@ class TestNearest:
         assert knn_accuracy(train_z, train_y, test_z, test_y, k=k) == argsort_knn_accuracy(
             train_z, train_y, test_z, test_y, k
         )
+
+
+@st.composite
+def knn_instances(draw):
+    """Query rows a and reference rows b of one width in 1..300, up to 40
+    of each, and a k from 1 to len(b). The rows come from one regime:
+
+    - entries spanning twelve decades;
+    - a large common offset (1e4 to 1e8) with unit spread, where
+      |b_j|^2 - 2 a_i . b_j cancels worst;
+    - entries near 1e-160, whose squares and distances are subnormal.
+
+    Some draws copy reference rows onto others and query rows into b, so
+    that distances tie exactly, a query point has a duplicate in b, and
+    a point of b has a duplicate other than itself. Others scatter inf,
+    NaN or 1e200 entries, or make every entry of b about 1e200, so that
+    every distance from b overflows."""
+    d = draw(st.integers(1, 300))
+    n, m = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    regime = draw(st.sampled_from(["decades", "offset", "subnormal"]))
+    if regime == "decades":
+        x = rng.normal(size=(n + m, d)) * 10.0 ** rng.uniform(-6, 6, size=(n + m, d))
+    elif regime == "offset":
+        offset = rng.choice([-1.0, 1.0], size=d) * 10.0 ** rng.uniform(4, 8)
+        x = offset + rng.normal(size=(n + m, d))
+    else:
+        x = rng.normal(size=(n + m, d)) * 10.0 ** rng.uniform(-161, -159, size=(n + m, d))
+    a, b = x[:n], x[n:]
+    if draw(st.booleans()):
+        b[rng.integers(0, m, size=m // 2)] = b[rng.integers(0, m, size=m // 2)]
+        b[rng.integers(0, m, size=max(1, m // 4))] = a[rng.integers(0, n, size=max(1, m // 4))]
+    hostile = draw(st.sampled_from(["none", "none", "entries", "overflow"]))
+    if hostile == "entries":
+        for z in (a, b):
+            z[rng.random(z.shape) < 0.02] = rng.choice([np.inf, -np.inf, np.nan, 1e200, -1e200])
+    elif hostile == "overflow":
+        b[:] = rng.normal(size=b.shape) * 1e200
+    return a, b, draw(st.integers(1, m))
+
+
+def argsort_nearest(a, b, k, exclude_self=False):
+    """_knn's index sets from the full matrix and a stable argsort."""
+    d2 = squared_distances(a, b)
+    if exclude_self:
+        np.fill_diagonal(d2, np.inf)
+    return np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+
+
+class TestKnnProperties:
+    """_knn ranks pairs by one matrix product and recomputes only the
+    pairs its error bound cannot rule out; its index sets must be those
+    of the exact distances, bit for bit, on the inputs where the product
+    is least accurate."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(knn_instances())
+    def test_knn_matches_stable_argsort(self, inst):
+        a, b, k = inst
+        assert np.array_equal(_knn(a, b, k), argsort_nearest(a, b, k))
+        if len(b) > 1:
+            k = min(k, len(b) - 1)
+            assert np.array_equal(_knn(b, b, k, exclude_self=True), argsort_nearest(b, b, k, exclude_self=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(knn_instances())
+    def test_supervisory_knn_matches_argsort(self, inst):
+        _, x, k = inst
+        if len(x) > 1:
+            k = min(k, len(x) - 1)
+            assert np.array_equal(supervisory_knn(x, k), argsort_knn(x, k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(knn_instances(), st.integers(0, 2 ** 32 - 1))
+    def test_knn_accuracy_matches_argsort(self, inst, seed):
+        test_z, train_z, k = inst
+        rng = np.random.default_rng(seed)
+        train_y = rng.integers(0, 3, size=len(train_z))
+        test_y = rng.integers(0, 3, size=len(test_z))
+        assert knn_accuracy(train_z, train_y, test_z, test_y, k=k) == argsort_knn_accuracy(
+            train_z, train_y, test_z, test_y, k
+        )
+
+    @pytest.mark.parametrize("n, m, d, k", [(500, 1500, 16, 7), (1000, 0, 64, 30), (75, 225, 2, 7)])
+    def test_blob_sizes_match_full_matrix(self, n, m, d, k):
+        # the sizes of the supcon snapshots, the cluster kNN graph (m = 0:
+        # self excluded) and the SNE snapshots; large enough for a threaded
+        # BLAS to split the product
+        rng = np.random.default_rng(n + d)
+        centers = 6.0 * rng.normal(size=(4, d))
+        a = centers[rng.integers(0, 4, size=n)] + rng.normal(size=(n, d))
+        b = centers[rng.integers(0, 4, size=m)] + rng.normal(size=(m, d)) if m else a
+        assert np.array_equal(_knn(a, b, k, exclude_self=not m), argsort_nearest(a, b, k, exclude_self=not m))
+
+    def test_overflowing_distance_ties_with_self(self):
+        # |x_0|^2 + max |x_j|^2 and every h are finite, so the prefilter
+        # runs, yet row 0's distances to both others overflow; in the full
+        # row they tie at +inf with the excluded self pair, which comes first
+        x = np.array([[0.5477], [-0.5477], [-0.5476]]) * np.sqrt(np.finfo(float).max)
+        want = argsort_nearest(x, x, 2, exclude_self=True)
+        assert want[0].tolist() == [0, 1]
+        assert np.array_equal(_knn(x, x, 2, exclude_self=True), want)
+        assert np.array_equal(supervisory_knn(x, 2), argsort_knn(x, 2))
+
+    def test_exact_distances_only_for_candidates(self, monkeypatch):
+        # finite input: squared_distances only sees candidate differences,
+        # one row per pair; a NaN sends the search to the full matrix
+        shapes = []
+
+        def recording(a, b=None, block=None):
+            shapes.append((np.shape(a)[0], np.shape(a if b is None else b)[0]))
+            return squared_distances(a, b, block)
+
+        monkeypatch.setattr(kernels, "squared_distances", recording)
+        rng = np.random.default_rng(101)
+        x = rng.normal(size=(200, 8)) + 5.0 * rng.integers(0, 4, size=(200, 1))
+        supervisory_knn(x, 5)
+        assert shapes and all(m == 1 for _, m in shapes)
+        assert sum(c for c, _ in shapes) < 200 * 20
+        shapes.clear()
+        x[3, 2] = np.nan
+        supervisory_knn(x, 5)
+        assert shapes == [(200, 200)]

@@ -137,6 +137,25 @@ class TestFusedAssemblies:
         for name in want:
             assert np.array_equal(grads[name], want[name]), name
 
+    @pytest.mark.parametrize("kind", ["linear", "mlp1"])
+    @pytest.mark.parametrize("family", ["distance", "angular"])
+    def test_encoder_kinds_reuse_hidden_layer(self, kind, family):
+        # the fused step hands the forward's hidden layer to the backward
+        # pass; public backward recomputes it, and the bits must agree
+        rng = np.random.default_rng(101)
+        x = rng.normal(size=(10, 3))
+        p = supervisory_labels(np.repeat(np.arange(5), 2))
+        enc = Encoder.init(kind, 3, 6, 4, rng)
+        spec = KernelSpec(family, 1.5)
+        z = forward(enc, x)
+        loss, dq = loss_and_grad("TV", p, learned_rows(z, spec))
+        want, _ = backward(enc, x, kernel_rows_grad(z, spec, dq))
+        fused_loss, grads = encoder_value_and_grads("TV", p, enc, x, spec)
+        assert fused_loss == loss
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert np.array_equal(grads[name], want[name]), name
+
     @pytest.mark.parametrize("div", DIVS)
     def test_cluster_matches_public_chain(self, div):
         rng = np.random.default_rng(97)
