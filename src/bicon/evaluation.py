@@ -133,6 +133,8 @@ def knn_accuracy(train_z, train_y, test_z, test_y, k=7):
         raise DimensionError(f"feature matrices disagree: {train_z.shape} vs {test_z.shape}")
     if train_y.shape != (train_z.shape[0],) or test_y.shape != (test_z.shape[0],):
         raise DimensionError("label vectors do not match feature matrices")
+    if test_z.shape[0] == 0:
+        raise DimensionError("test set is empty")
     if np.any(train_y < 0) or np.any(test_y < 0):
         raise DomainError("class ids must be non-negative")
     if not (1 <= k <= train_z.shape[0]):

@@ -364,9 +364,21 @@ def supervisory_labels(labels):
 def supervisory_knn(x, k):
     """Uniform neighbor rows over each point's k nearest others.
 
-    Distance ties are broken toward the smaller index. The neighbors are
-    those of the exact squared_distances matrix, found by _knn's
-    certified prefilter without building that matrix.
+    Distance ties are broken toward the smaller index. The rows are
+    scattered from _knn_graph's N x k neighbor indices, the form in which
+    run_cluster holds this target.
+    """
+    nbrs = _knn_graph(x, k)
+    P = np.zeros((nbrs.shape[0], nbrs.shape[0]))
+    np.put_along_axis(P, nbrs, 1.0 / k, axis=1)
+    return P
+
+
+def _knn_graph(x, k):
+    """Column indices of each point's k nearest others, N x k in ascending
+    index order. The neighbors are those of the exact squared_distances
+    matrix, found by _knn's certified prefilter without building that
+    matrix.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -374,9 +386,7 @@ def supervisory_knn(x, k):
     n = x.shape[0]
     if not (1 <= k <= n - 1):
         raise DomainError(f"k must lie in [1, N-1] = [1, {n - 1}], got {k!r}")
-    P = np.zeros((n, n))
-    np.put_along_axis(P, _knn(x, x, k, exclude_self=True), 1.0 / k, axis=1)
-    return P
+    return _knn(x, x, k, exclude_self=True)
 
 
 # unit roundoff and smallest subnormal of float64

@@ -28,8 +28,8 @@ from .kernels import (
     _cluster_transition,
     _cluster_transition_backward,
     _kernel_rows_backward,
+    _knn_graph,
     learned_rows,
-    supervisory_knn,
     supervisory_labels,
     supervisory_sne,
     validate_distribution,
@@ -305,10 +305,21 @@ def run_sne(config, x, labels=None):
     return report, embed()
 
 
-def _sub_rows(p, idx):
-    """Supervisory sub-matrix over a batch, rows renormalized. A row with
-    no surviving neighbor mass falls back to uniform over the batch."""
-    sub = p[np.ix_(idx, idx)].copy()
+def _sub_rows(nbrs, idx, pos):
+    """Uniform kNN rows over a batch, rows renormalized: row i weighs the
+    members of nbrs[idx[i]] that are in the batch equally. A row with no
+    neighbor in the batch falls back to uniform over the batch.
+
+    nbrs is the N x k neighbor index array. pos is an N-long scratch map,
+    -1 everywhere on entry and on return, that takes each batch point to
+    its slot.
+    """
+    pos[idx] = np.arange(idx.shape[0])
+    slot = pos[nbrs[idx]]
+    pos[idx] = -1
+    rows, cols = np.nonzero(slot >= 0)
+    sub = np.zeros((idx.shape[0], idx.shape[0]))
+    sub[rows, slot[rows, cols]] = 1.0 / nbrs.shape[1]
     sums = sub.sum(axis=1)
     empty = sums <= 0.0
     if empty.any():
@@ -322,16 +333,18 @@ def _sub_rows(p, idx):
 def run_cluster(config, x, labels=None):
     """Mini-batched cluster-head training against a kNN neighbor graph.
 
-    Supervisory rows are fixed up front; each epoch shuffles the points
+    The graph is held as each point's k neighbor indices, found once up
+    front, never as a dense N x N matrix. Each epoch shuffles the points
     into batches (a trailing batch of fewer than 4 is dropped), and each
-    batch renormalizes its sub-rows. Snapshots record assignment accuracy
-    when labels are given.
+    batch scatters and renormalizes its sub-rows (see _sub_rows).
+    Snapshots record assignment accuracy when labels are given.
     """
     cfg = resolve_config(config)
     x = np.asarray(x, dtype=float)
     if cfg.task != "cluster":
         raise ConfigError(f"run_cluster got a config for task {cfg.task!r}")
-    p_full = supervisory_knn(x, cfg.k)
+    nbrs = _knn_graph(x, cfg.k)
+    pos = np.full(x.shape[0], -1, dtype=np.intp)
     head = ClusterHead.init(x.shape[1], cfg.clusters, np.random.default_rng([cfg.seed, 1]))
     shuffle_rng = np.random.default_rng([cfg.seed, 7])
 
@@ -340,7 +353,7 @@ def run_cluster(config, x, labels=None):
         for start in range(0, x.shape[0], cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
             if batch.shape[0] >= 4:
-                yield validate_distribution(_sub_rows(p_full, batch)), x[batch]
+                yield validate_distribution(_sub_rows(nbrs, batch, pos)), x[batch]
 
     def evaluate():
         if labels is None:

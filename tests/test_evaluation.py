@@ -106,6 +106,11 @@ class TestKnn:
             knn_accuracy(np.zeros((3, 1)), np.zeros(3, dtype=int),
                          np.zeros((1, 1)), np.zeros(1, dtype=int), k=4)
 
+    def test_empty_test_set(self):
+        with pytest.raises(DimensionError, match="empty"):
+            knn_accuracy(np.zeros((3, 2)), np.zeros(3, dtype=int),
+                         np.zeros((0, 2)), np.zeros(0, dtype=int), k=1)
+
 
 class TestLinearProbe:
     def test_separable_data(self):

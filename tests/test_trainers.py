@@ -1,7 +1,11 @@
 """Training engines: loss assembly, determinism, optima, and abort paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bicon import (
     DatasetSpec,
@@ -15,6 +19,7 @@ from bicon import (
 )
 from bicon.errors import ConfigError, DimensionError, NumericalError
 from bicon.kernels import (
+    _knn_graph,
     cluster_transition,
     cluster_transition_grad,
     kernel_rows_grad,
@@ -26,6 +31,7 @@ from bicon.kernels import (
 from bicon.model import ClusterHead, Encoder, backward, forward, head_backward, head_forward
 from bicon.trainers import (
     _collapsed,
+    _sub_rows,
     cluster_value_and_grads,
     encoder_value_and_grads,
     resolve_config,
@@ -329,6 +335,64 @@ class TestRunCluster:
                "eval_every": 30}
         report, probs = run_cluster(cfg, ds.features, labels=ds.labels)
         assert report.snapshots[-1][1]["hungarian"] >= 0.95
+
+
+    def test_peak_memory_below_dense_target(self):
+        # the kNN target is held as N x k indices: no N x N array at any point
+        n = 2000
+        ds = generate(DatasetSpec(generator="gaussian_blobs", n=n, d=8, classes=4,
+                                  separation=8.0, seed=0))
+        cfg = {"task": "cluster", "divergence": "TV", "clusters": 4, "k": 10,
+               "epochs": 1, "batch_size": 128, "seed": 0}
+        tracemalloc.start()
+        try:
+            run_cluster(cfg, ds.features, labels=ds.labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
+
+
+def dense_sub_rows(p, idx):
+    """The batch sub-rows gathered from the dense kNN target, as the
+    reference for _sub_rows."""
+    sub = p[np.ix_(idx, idx)].copy()
+    sums = sub.sum(axis=1)
+    empty = sums <= 0.0
+    if empty.any():
+        rows = np.where(empty)[0]
+        sub[rows] = 1.0 / (idx.shape[0] - 1)
+        sub[rows, rows] = 0.0
+        sums = sub.sum(axis=1)
+    return sub / sums[:, None]
+
+
+@st.composite
+def knn_batches(draw):
+    """N points of width 1 to 16 with exact duplicate rows (distance
+    ties), any valid k, and an epoch's shuffled batches of 4 to N points."""
+    n, d = draw(st.integers(5, 200)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    distinct = rng.normal(size=(draw(st.integers(1, n)), d))
+    if draw(st.booleans()):
+        distinct = np.round(distinct)
+    x = distinct[rng.integers(0, distinct.shape[0], size=n)]
+    k, size = draw(st.integers(1, n - 1)), draw(st.integers(4, n))
+    perm = rng.permutation(n)
+    batches = [perm[s:s + size] for s in range(0, n, size) if n - s >= 4]
+    return x, k, batches
+
+
+class TestSubRows:
+    @settings(max_examples=200, deadline=None)
+    @given(knn_batches())
+    def test_scatter_matches_dense_reference(self, inst):
+        x, k, batches = inst
+        nbrs, p = _knn_graph(x, k), supervisory_knn(x, k)
+        pos = np.full(x.shape[0], -1, dtype=np.intp)
+        for idx in batches:
+            assert np.array_equal(_sub_rows(nbrs, idx, pos), dense_sub_rows(p, idx))
+            assert np.all(pos == -1)
 
 
 class TestRunSupcon:
