@@ -123,7 +123,8 @@ def knn_accuracy(train_z, train_y, test_z, test_y, k=7):
     Distance ties are broken toward the smaller training index, vote ties
     toward the smallest class id. The neighbors are those of the exact
     squared_distances matrix, found by kernels._knn's certified
-    prefilter without building that matrix.
+    prefilter without building that matrix. Features whose squared norms
+    or distances are not finite raise DomainError.
     """
     train_z = np.asarray(train_z, dtype=float)
     test_z = np.asarray(test_z, dtype=float)

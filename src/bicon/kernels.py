@@ -366,7 +366,8 @@ def supervisory_knn(x, k):
 
     Distance ties are broken toward the smaller index. The rows are
     scattered from _knn_graph's N x k neighbor indices, the form in which
-    run_cluster holds this target.
+    run_cluster holds this target. Raises DomainError, as _knn does, for
+    features whose squared norms or distances are not finite.
     """
     nbrs = _knn_graph(x, k)
     P = np.zeros((nbrs.shape[0], nbrs.shape[0]))
@@ -378,7 +379,8 @@ def _knn_graph(x, k):
     """Column indices of each point's k nearest others, N x k in ascending
     index order. The neighbors are those of the exact squared_distances
     matrix, found by _knn's certified prefilter without building that
-    matrix.
+    matrix; features whose squared norms or distances are not finite
+    raise DomainError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
@@ -393,12 +395,14 @@ def _knn_graph(x, k):
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
 
+_OVERFLOW = "k-nearest neighbours need features whose squared norms and distances are finite"
+
 
 def _knn(a, b, k, exclude_self=False):
     """Column indices of each row of a's k nearest rows of b, in
-    ascending column order: _nearest(squared_distances(a, b), k), with
-    the diagonal set to +inf first when exclude_self (a is b), found
-    without building the N x M matrix of exact distances.
+    ascending column order: _nearest(squared_distances(a, b), k), over
+    each row's other columns when exclude_self (a is b), found without
+    building the N x M matrix of exact distances.
 
     Each row is ranked by h_ij = |b_j|^2 - 2 a_i . b_j from one
     (-2 a) @ b.T product (doubling is exact); |a_i|^2 is the same along a
@@ -439,18 +443,16 @@ def _knn(a, b, k, exclude_self=False):
     can reach. Every pair with e_ij <= eps_k is thus a candidate, and
     _nearest over the candidates, packed in ascending column order and
     padded with +inf after them, picks what it would over the whole row.
-    With exclude_self the self pair is a candidate of value +inf, as in
-    the full row: an exact distance may overflow to +inf while the norms,
-    slack and h stay finite, and then it ties with the self pair.
-
-    The bound needs finite norms, slack and h. When an inf or NaN input,
-    or an overflow, makes any of them non-finite, every pair is a
-    candidate, and the full matrix comes from squared_distances: the same
-    selection without the prefilter.
+    An h of +inf (the self pair's with exclude_self, or an overflow) is
+    above every finite threshold, so its pair is never a candidate; with
+    finite slack, h is never NaN or -inf. The bound needs finite
+    thresholds tau_i + 2 slack_i and candidate distances: inputs that
+    make either non-finite (inf or NaN entries, or overflow) raise
+    DomainError.
     """
     n, d = a.shape
     m = len(b)
-    # overflow, inf and NaN are legal here; they send the search down the full path
+    # overflow, inf and NaN are legal here; the checks below catch those that matter
     with np.errstate(over="ignore", invalid="ignore"):
         bb = np.einsum("ij,ij->i", b, b)
         slack = 8.0 * (d + 4) * (_U * (np.einsum("ij,ij->i", a, a) + bb.max()) + _ETA)
@@ -461,56 +463,42 @@ def _knn(a, b, k, exclude_self=False):
         with np.errstate(over="ignore", invalid="ignore"):
             h = (-2.0 * a[start:stop]) @ b.T
             h += bb
-        if not (np.isfinite(slack[start:stop]).all() and np.isfinite(h).all()):
-            found = None
-            break
-        own = np.arange(stop - start), np.arange(start, stop)
-        if exclude_self:
-            h[own] = np.inf
-        keep = h <= (np.partition(h, k - 1, axis=1)[:, k - 1] + 2.0 * slack[start:stop])[:, None]
-        if exclude_self:
-            keep[own] = True
-        found.append(np.flatnonzero(keep) + start * m)
-    if found is not None:
-        rows, cols = np.divmod(np.concatenate(found), m)
-        e = np.empty(len(rows))
-        origin = np.zeros((1, d))
-        step = max(1, 8 * _BLOCK_FLOATS // max(d, 1))
-        for s in range(0, len(rows), step):
-            # |a_i - b_j - 0|^2 is squared_distances' value of the pair, bit for bit
-            e[s:s + step] = squared_distances(a[rows[s:s + step]] - b[cols[s:s + step]], origin)[:, 0]
-        counts = np.bincount(rows, minlength=n)
-        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
-        d2 = np.full((n, counts.max()), np.inf)
-        d2[rows, slot] = e
-        col = np.zeros(d2.shape, dtype=np.intp)
-        col[rows, slot] = cols
-    else:
-        d2 = squared_distances(a, b)
-        col = np.arange(m)[None, :]
-    if exclude_self:
-        d2[col == np.arange(n)[:, None]] = np.inf
+            if exclude_self:
+                h[np.arange(stop - start), np.arange(start, stop)] = np.inf
+            top = np.partition(h, k - 1, axis=1)[:, k - 1:k] + 2.0 * slack[start:stop, None]
+        if not np.isfinite(top).all():
+            raise DomainError(_OVERFLOW)
+        found.append(np.flatnonzero(h <= top) + start * m)
+    rows, cols = np.divmod(np.concatenate(found), m)
+    e = np.empty(len(rows))
+    origin = np.zeros((1, d))
+    step = max(1, 8 * _BLOCK_FLOATS // max(d, 1))
+    for s in range(0, len(rows), step):
+        # |a_i - b_j - 0|^2 is squared_distances' value of the pair, bit for bit
+        e[s:s + step] = squared_distances(a[rows[s:s + step]] - b[cols[s:s + step]], origin)[:, 0]
+    if not np.isfinite(e).all():
+        raise DomainError(_OVERFLOW)
+    counts = np.bincount(rows, minlength=n)
+    slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+    d2 = np.full((n, counts.max()), np.inf)
+    d2[rows, slot] = e
+    col = np.zeros(d2.shape, dtype=np.intp)
+    col[rows, slot] = cols
     return np.take_along_axis(col, _nearest(d2, k), axis=1)
 
 
 def _nearest(d2, k):
     """Column indices of each row's k smallest entries, in ascending
     column order: the index set of np.argsort(d2, axis=1,
-    kind="stable")[:, :k], found without a full sort.
+    kind="stable")[:, :k] for NaN-free d2, found without a full sort.
 
     np.partition finds each row's k-th smallest value; the row takes
     every entry below it, then the lowest-index entries equal to it
-    until it has k. NaN counts as larger than +inf, as in argsort, so a
-    row with fewer than k non-NaN entries fills up with its first NaNs.
+    until it has k.
     """
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
     below = d2 < kth
     tied = d2 == kth
-    short = np.isnan(kth[:, 0])
-    if short.any():
-        nan = np.isnan(d2[short])
-        below[short] = ~nan
-        tied[short] = nan
     need = k - np.count_nonzero(below, axis=1)
     over = np.count_nonzero(tied, axis=1) > need
     if over.any():

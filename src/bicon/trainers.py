@@ -133,8 +133,8 @@ def resolve_config(config):
         raise ConfigError(f"hidden must be >= 1, got {cfg.hidden}")
     if not (np.isfinite(cfg.grad_clip) and cfg.grad_clip >= 0.0):
         raise ConfigError(f"grad_clip must be finite and >= 0, got {cfg.grad_clip!r}")
-    if cfg.collapse_window < 1 or cfg.collapse_trip <= 0 or cfg.collapse_arm <= cfg.collapse_trip:
-        raise ConfigError("collapse thresholds need window >= 1 and arm > trip > 0")
+    if not (cfg.collapse_window >= 1 and np.isfinite(cfg.collapse_arm) and cfg.collapse_arm > cfg.collapse_trip > 0):
+        raise ConfigError("collapse thresholds need window >= 1 and finite arm > trip > 0")
     return cfg
 
 
@@ -441,9 +441,11 @@ def run_supcon(config, x, labels):
 
 def grad_norm_series(report, window=50):
     """Spike statistics (max, median, max/median) of each parameter
-    tensor's gradient-norm series over the first `window` steps."""
+    tensor's gradient-norm series over the first `window` (>= 1) steps."""
     if not report.losses:
         raise DimensionError("report has no recorded steps")
+    if window < 1:
+        raise DomainError(f"window must be >= 1, got {window!r}")
     out = {}
     for name, series in report.grad_norms.items():
         w = np.asarray(series[:window], dtype=float)

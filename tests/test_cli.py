@@ -260,8 +260,11 @@ class TestRunCommand:
         ({"data_seed": -1}, [], "need seed >= 0"),
         ({"mode": "parametric", "hidden": 0}, [], "hidden must be >= 1, got 0"),
         ({"grad_clip": float("nan")}, [], "grad_clip must be finite and >= 0, got nan"),
+        ({"collapse_arm": float("nan")}, [], "finite arm > trip > 0"),
+        ({"collapse_trip": float("nan")}, [], "finite arm > trip > 0"),
     ], ids=["epochs-string", "epochs-float", "epochs-bool", "data_n-string", "sweep-epochs-word",
-            "negative-seed", "negative-data_seed", "zero-hidden", "nan-grad_clip"])
+            "negative-seed", "negative-data_seed", "zero-hidden", "nan-grad_clip", "nan-collapse_arm",
+            "nan-collapse_trip"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, override, sweep, message):
         cfg = write_json(tmp_path / "cfg.json", sne_config(**override))
         rc = main(["run", "sne", "--config", cfg, "--out", str(tmp_path / "o"), *sweep])
@@ -276,6 +279,17 @@ class TestRunCommand:
         rc = main(["run", "cluster", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "no batch of at least 4 points" in capsys.readouterr().err
+
+    def test_cluster_on_overflowing_features_exits_2(self, tmp_path, capsys):
+        # 1e200 loads as a finite float, but its squared norm overflows
+        m = generate(DatasetSpec(n=30, d=3, classes=3, separation=8.0, seed=2))
+        m.features[4, 1] = 1e200
+        data = tmp_path / "big.csv"
+        save_csv(m, data)
+        cfg = write_json(tmp_path / "cfg.json", cluster_config(data_generator="file", data_path=str(data)))
+        rc = main(["run", "cluster", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "squared norms and distances are finite" in capsys.readouterr().err
 
     def test_overflow_aborts_with_numerical_exit(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", sne_config(divergence="KL", lr=1e155))
@@ -456,6 +470,19 @@ class TestEvalCommand:
         ])
         assert rc == EXIT_CONFIG
         assert "24" in capsys.readouterr().err
+
+    def test_eval_knn_on_overflowing_features_exits_2(self, tmp_path, capsys):
+        # a linear encoder carries a 1e200 feature into an embedding whose
+        # squared norm overflows
+        out, data_path = self._run_and_save_data(tmp_path, sne_config(mode="parametric", encoder="linear"))
+        m = generate(DatasetSpec(generator="file", path=data_path))
+        m.features[5, 0] = 1e200
+        big = tmp_path / "big.csv"
+        save_csv(m, big)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint.bicn"), "--data", str(big), "--metrics", "knn"])
+        assert rc == EXIT_CONFIG
+        assert "squared norms and distances are finite" in capsys.readouterr().err
 
     def test_eval_overflowing_checkpoint_shape_exits_2(self, tmp_path, capsys):
         # a free checkpoint declaring shape (2^40, 2^40) and no payload

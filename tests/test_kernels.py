@@ -447,10 +447,10 @@ class TestSquaredDistancesProperties:
 
 @st.composite
 def tied_distance_rows(draw):
-    """Small-integer distance matrices, heavy with ties, inf and NaN, and
-    a k from 1 to the row length."""
+    """Small-integer distance matrices, heavy with ties and inf, and a k
+    from 1 to the row length."""
     n, m = draw(st.integers(1, 8)), draw(st.integers(1, 12))
-    values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+    values = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf])
     return draw(arrays(np.float64, (n, m), elements=values)), draw(st.integers(1, m))
 
 
@@ -542,6 +542,12 @@ def knn_instances(draw):
     return a, b, draw(st.integers(1, m))
 
 
+def overflows(*zs):
+    """Whether any row of the matrices has a non-finite squared norm."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return not all(np.isfinite(np.einsum("ij,ij->i", z, z)).all() for z in zs)
+
+
 def argsort_nearest(a, b, k, exclude_self=False):
     """_knn's index sets from the full matrix and a stable argsort."""
     d2 = squared_distances(a, b)
@@ -554,16 +560,24 @@ class TestKnnProperties:
     """_knn ranks pairs by one matrix product and recomputes only the
     pairs its error bound cannot rule out; its index sets must be those
     of the exact distances, bit for bit, on the inputs where the product
-    is least accurate."""
+    is least accurate. Features with a non-finite squared norm raise."""
 
     @settings(max_examples=400, deadline=None)
     @given(knn_instances())
     def test_knn_matches_stable_argsort(self, inst):
         a, b, k = inst
-        assert np.array_equal(_knn(a, b, k), argsort_nearest(a, b, k))
+        if overflows(a, b):
+            with pytest.raises(DomainError, match="finite"):
+                _knn(a, b, k)
+        else:
+            assert np.array_equal(_knn(a, b, k), argsort_nearest(a, b, k))
         if len(b) > 1:
             k = min(k, len(b) - 1)
-            assert np.array_equal(_knn(b, b, k, exclude_self=True), argsort_nearest(b, b, k, exclude_self=True))
+            if overflows(b):
+                with pytest.raises(DomainError, match="finite"):
+                    _knn(b, b, k, exclude_self=True)
+            else:
+                assert np.array_equal(_knn(b, b, k, exclude_self=True), argsort_nearest(b, b, k, exclude_self=True))
 
     @settings(max_examples=200, deadline=None)
     @given(knn_instances())
@@ -571,7 +585,11 @@ class TestKnnProperties:
         _, x, k = inst
         if len(x) > 1:
             k = min(k, len(x) - 1)
-            assert np.array_equal(supervisory_knn(x, k), argsort_knn(x, k))
+            if overflows(x):
+                with pytest.raises(DomainError, match="finite"):
+                    supervisory_knn(x, k)
+            else:
+                assert np.array_equal(supervisory_knn(x, k), argsort_knn(x, k))
 
     @settings(max_examples=200, deadline=None)
     @given(knn_instances(), st.integers(0, 2 ** 32 - 1))
@@ -580,9 +598,13 @@ class TestKnnProperties:
         rng = np.random.default_rng(seed)
         train_y = rng.integers(0, 3, size=len(train_z))
         test_y = rng.integers(0, 3, size=len(test_z))
-        assert knn_accuracy(train_z, train_y, test_z, test_y, k=k) == argsort_knn_accuracy(
-            train_z, train_y, test_z, test_y, k
-        )
+        if overflows(test_z, train_z):
+            with pytest.raises(DomainError, match="finite"):
+                knn_accuracy(train_z, train_y, test_z, test_y, k=k)
+        else:
+            assert knn_accuracy(train_z, train_y, test_z, test_y, k=k) == argsort_knn_accuracy(
+                train_z, train_y, test_z, test_y, k
+            )
 
     @pytest.mark.parametrize("n, m, d, k", [(500, 1500, 16, 7), (1000, 0, 64, 30), (75, 225, 2, 7)])
     def test_blob_sizes_match_full_matrix(self, n, m, d, k):
@@ -596,18 +618,38 @@ class TestKnnProperties:
         assert np.array_equal(_knn(a, b, k, exclude_self=not m), argsort_nearest(a, b, k, exclude_self=not m))
 
     def test_overflowing_distance_ties_with_self(self):
-        # |x_0|^2 + max |x_j|^2 and every h are finite, so the prefilter
-        # runs, yet row 0's distances to both others overflow; in the full
-        # row they tie at +inf with the excluded self pair, which comes first
+        # |x_0|^2 + max |x_j|^2, every h and every threshold are finite,
+        # yet row 0's distances to both others overflow; in the full
+        # row they would tie at +inf with the excluded self pair, so the
+        # search raises instead of ranking them
         x = np.array([[0.5477], [-0.5477], [-0.5476]]) * np.sqrt(np.finfo(float).max)
-        want = argsort_nearest(x, x, 2, exclude_self=True)
-        assert want[0].tolist() == [0, 1]
-        assert np.array_equal(_knn(x, x, 2, exclude_self=True), want)
-        assert np.array_equal(supervisory_knn(x, 2), argsort_knn(x, 2))
+        with pytest.raises(DomainError, match="finite"):
+            _knn(x, x, 2, exclude_self=True)
+        with pytest.raises(DomainError, match="finite"):
+            supervisory_knn(x, 2)
+
+    def test_overflow_outside_the_bound_raises(self):
+        r = np.sqrt(np.finfo(float).max)
+        # |a_0|^2 overflows, yet h and the distance are finite
+        a = np.array([[r * (1.0 + 2.0 ** -48)]])
+        with pytest.raises(DomainError, match="finite"):
+            _knn(a, a - r * np.sqrt(0.5), 1)
+        # |x_1|^2 + max |x_j|^2 overflows; in row 1 the self pair would meet
+        # an infinite threshold and be selected at distance 0
+        x = np.array([[0.0], [r * np.sqrt(0.9)]])
+        with pytest.raises(DomainError, match="finite"):
+            supervisory_knn(x, 1)
+        # every squared norm and h is finite, but both distances overflow
+        # and tie at +inf in the full row, where the smaller index wins;
+        # only index 1 is a candidate by h
+        a = np.array([[-np.sqrt(0.3)]]) * r
+        b = np.array([[np.sqrt(1.1) - np.sqrt(0.3)], [np.sqrt(1.05) - np.sqrt(0.3)]]) * r
+        with pytest.raises(DomainError, match="finite"):
+            _knn(a, b, 1)
 
     def test_exact_distances_only_for_candidates(self, monkeypatch):
         # finite input: squared_distances only sees candidate differences,
-        # one row per pair; a NaN sends the search to the full matrix
+        # one row per pair; a NaN raises before any distance is computed
         shapes = []
 
         def recording(a, b=None, block=None):
@@ -622,5 +664,6 @@ class TestKnnProperties:
         assert sum(c for c, _ in shapes) < 200 * 20
         shapes.clear()
         x[3, 2] = np.nan
-        supervisory_knn(x, 5)
-        assert shapes == [(200, 200)]
+        with pytest.raises(DomainError, match="finite"):
+            supervisory_knn(x, 5)
+        assert shapes == []

@@ -17,7 +17,7 @@ from bicon import (
     run_sne,
     run_supcon,
 )
-from bicon.errors import ConfigError, DimensionError, NumericalError
+from bicon.errors import ConfigError, DimensionError, DomainError, NumericalError
 from bicon.kernels import (
     _knn_graph,
     cluster_transition,
@@ -508,6 +508,21 @@ class TestGradNormSeries:
         )
         stats = grad_norm_series(report, window=3)["w"]
         assert stats.max == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("window", [0, -2])
+    def test_window_below_one_rejected(self, window):
+        from bicon.trainers import TrainReport
+
+        report = TrainReport(
+            losses=[0.0] * 4,
+            grad_norms={"w": [1.0, 2.0, 4.0, 8.0]},
+            snapshots=[],
+            collapsed=False,
+            config=None,
+            model=None,
+        )
+        with pytest.raises(DomainError, match="window must be >= 1"):
+            grad_norm_series(report, window=window)
 
     def test_empty_report_rejected(self):
         from bicon.trainers import TrainReport
