@@ -6,10 +6,12 @@ and squared Hellinger. All values use natural logarithms and the
 floored at ``EPS`` before logs, roots and divisions, so values stay
 finite as q -> 0 while KL keeps its blow-up behaviour in that limit.
 
-The ``*_rows`` functions operate on row-aligned matrices without simplex
-validation; they are the hot path for the trainers and for
-finite-difference probes, which deliberately step off the simplex.
-The scalar entry points validate their inputs.
+Each kind is one function of row-aligned matrices that returns the
+per-row values and the derivative in Q together, sharing what the two
+have in common. ``divergence_rows`` calls it without simplex validation;
+it is the hot path for the trainers and for finite-difference probes,
+which deliberately step off the simplex. The scalar entry points
+validate their inputs.
 """
 
 from __future__ import annotations
@@ -27,59 +29,39 @@ def _as_rows(p):
     return p.reshape(1, -1) if p.ndim == 1 else p
 
 
-def _kl_rows(P, Q):
-    Qf = np.maximum(Q, EPS)
+def _xlogy(x, ratio):
+    """x * log(ratio), and 0 wherever x <= 0: the 0*log(0) = 0 convention."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = P * np.log(P / Qf)
-    terms[P <= 0.0] = 0.0
-    return terms.sum(axis=1)
+        terms = x * np.log(ratio)
+    terms[x <= 0.0] = 0.0
+    return terms
 
 
-def _tv_rows(P, Q):
-    return 0.5 * np.abs(P - Q).sum(axis=1)
+def _kl(P, Q):
+    ratio = P / np.maximum(Q, EPS)
+    return _xlogy(P, ratio).sum(axis=1), -ratio
 
 
-def _jsd_rows(P, Q):
-    M = 0.5 * (P + Q)
-    Mf = np.maximum(M, EPS)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tp = P * np.log(P / Mf)
-        tq = Q * np.log(Q / Mf)
-    tp[P <= 0.0] = 0.0
-    tq[Q <= 0.0] = 0.0
-    return 0.5 * (tp.sum(axis=1) + tq.sum(axis=1))
-
-
-def _hellinger_rows(P, Q):
-    d = np.sqrt(P) - np.sqrt(Q)
-    return 0.5 * (d * d).sum(axis=1)
-
-
-def _kl_grad_rows(P, Q):
-    return -P / np.maximum(Q, EPS)
-
-
-def _tv_grad_rows(P, Q):
+def _tv(P, Q):
+    diff = Q - P
     # sign(0) = 0 keeps p = q stationary
-    return 0.5 * np.sign(Q - P)
+    return 0.5 * np.abs(diff).sum(axis=1), 0.5 * np.sign(diff)
 
 
-def _jsd_grad_rows(P, Q):
+def _jsd(P, Q):
+    Mf = np.maximum(0.5 * (P + Q), EPS)
+    value = 0.5 * (_xlogy(P, P / Mf).sum(axis=1) + _xlogy(Q, Q / Mf).sum(axis=1))
     Qf = np.maximum(Q, EPS)
-    return 0.5 * np.log(2.0 * Qf / (P + Qf))
+    return value, 0.5 * np.log(2.0 * Qf / (P + Qf))
 
 
-def _hellinger_grad_rows(P, Q):
-    return 0.5 * (1.0 - np.sqrt(P / np.maximum(Q, EPS)))
+def _hellinger(P, Q):
+    d = np.sqrt(P) - np.sqrt(Q)
+    return 0.5 * (d * d).sum(axis=1), 0.5 * (1.0 - np.sqrt(P / np.maximum(Q, EPS)))
 
 
-# kind tag -> (value, derivative in q), both row-batched
-DIVERGENCES = {
-    "KL": (_kl_rows, _kl_grad_rows),
-    "TV": (_tv_rows, _tv_grad_rows),
-    "JSD": (_jsd_rows, _jsd_grad_rows),
-    "Hellinger": (_hellinger_rows, _hellinger_grad_rows),
-}
+# kind tag -> (P, Q) -> (per-row values, dD/dQ), row-batched
+DIVERGENCES = {"KL": _kl, "TV": _tv, "JSD": _jsd, "Hellinger": _hellinger}
 
 KINDS = tuple(DIVERGENCES)
 
@@ -105,40 +87,32 @@ def validate_probability_vector(p, name="p"):
 
 
 def divergence_rows(kind, P, Q):
-    """Per-row divergence for row-aligned matrices (no simplex validation)."""
+    """(per-row values, dD/dQ) for row-aligned matrices or one 1-D row
+    pair, without simplex validation."""
     _check_kind(kind)
     P = _as_rows(P)
     Q = _as_rows(Q)
-    if P.shape != Q.shape:
-        raise DimensionError(f"row shapes differ: {P.shape} vs {Q.shape}")
-    return DIVERGENCES[kind][0](P, Q)
+    if P.ndim != 2 or P.shape != Q.shape:
+        raise DimensionError(f"expected row matrices of one shape, got {P.shape} and {Q.shape}")
+    return DIVERGENCES[kind](P, Q)
 
 
-def divergence_grad_rows(kind, P, Q):
-    """Per-row derivative in the second argument (no simplex validation)."""
+def _validated_pair(kind, p, q):
+    """Values and derivative for one validated pair of probability vectors."""
     _check_kind(kind)
-    P = _as_rows(P)
-    Q = _as_rows(Q)
-    if P.shape != Q.shape:
-        raise DimensionError(f"row shapes differ: {P.shape} vs {Q.shape}")
-    return DIVERGENCES[kind][1](P, Q)
+    p = validate_probability_vector(p, "p")
+    q = validate_probability_vector(q, "q")
+    if p.shape != q.shape:
+        raise DimensionError(f"p and q lengths differ: {p.shape[0]} vs {q.shape[0]}")
+    values, grads = DIVERGENCES[kind](p.reshape(1, -1), q.reshape(1, -1))
+    return float(values[0]), grads[0]
 
 
 def divergence(kind, p, q):
     """D(p || q) for one pair of probability vectors."""
-    _check_kind(kind)
-    p = validate_probability_vector(p, "p")
-    q = validate_probability_vector(q, "q")
-    if p.shape != q.shape:
-        raise DimensionError(f"p and q lengths differ: {p.shape[0]} vs {q.shape[0]}")
-    return float(DIVERGENCES[kind][0](p.reshape(1, -1), q.reshape(1, -1))[0])
+    return _validated_pair(kind, p, q)[0]
 
 
 def divergence_grad_q(kind, p, q):
     """Componentwise d D(p || q) / d q_k for one pair of probability vectors."""
-    _check_kind(kind)
-    p = validate_probability_vector(p, "p")
-    q = validate_probability_vector(q, "q")
-    if p.shape != q.shape:
-        raise DimensionError(f"p and q lengths differ: {p.shape[0]} vs {q.shape[0]}")
-    return DIVERGENCES[kind][1](p.reshape(1, -1), q.reshape(1, -1))[0]
+    return _validated_pair(kind, p, q)[1]

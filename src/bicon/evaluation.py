@@ -117,6 +117,25 @@ def hungarian_accuracy(pred, truth):
     return best.matched / np.asarray(pred).shape[0]
 
 
+def _labelled_split(train_z, train_y, test_z, test_y):
+    """The four arrays as float features and int64 labels; DimensionError
+    for mismatched shapes or an empty set, DomainError for negative class
+    ids."""
+    train_z = np.asarray(train_z, dtype=float)
+    test_z = np.asarray(test_z, dtype=float)
+    train_y = np.asarray(train_y, dtype=np.int64)
+    test_y = np.asarray(test_y, dtype=np.int64)
+    if train_z.ndim != 2 or test_z.ndim != 2 or train_z.shape[1] != test_z.shape[1]:
+        raise DimensionError(f"feature matrices disagree: {train_z.shape} vs {test_z.shape}")
+    if train_y.shape != (train_z.shape[0],) or test_y.shape != (test_z.shape[0],):
+        raise DimensionError("label vectors do not match feature matrices")
+    if train_z.shape[0] == 0 or test_z.shape[0] == 0:
+        raise DimensionError(f"train and test sets must be non-empty, got {len(train_z)} and {len(test_z)} rows")
+    if np.any(train_y < 0) or np.any(test_y < 0):
+        raise DomainError("class ids must be non-negative")
+    return train_z, train_y, test_z, test_y
+
+
 def knn_accuracy(train_z, train_y, test_z, test_y, k=7):
     """Majority-vote k-nearest-neighbor accuracy under euclidean distance.
 
@@ -126,18 +145,7 @@ def knn_accuracy(train_z, train_y, test_z, test_y, k=7):
     prefilter without building that matrix. Features whose squared norms
     or distances are not finite raise DomainError.
     """
-    train_z = np.asarray(train_z, dtype=float)
-    test_z = np.asarray(test_z, dtype=float)
-    train_y = np.asarray(train_y, dtype=np.int64)
-    test_y = np.asarray(test_y, dtype=np.int64)
-    if train_z.ndim != 2 or test_z.ndim != 2 or train_z.shape[1] != test_z.shape[1]:
-        raise DimensionError(f"feature matrices disagree: {train_z.shape} vs {test_z.shape}")
-    if train_y.shape != (train_z.shape[0],) or test_y.shape != (test_z.shape[0],):
-        raise DimensionError("label vectors do not match feature matrices")
-    if test_z.shape[0] == 0:
-        raise DimensionError("test set is empty")
-    if np.any(train_y < 0) or np.any(test_y < 0):
-        raise DomainError("class ids must be non-negative")
+    train_z, train_y, test_z, test_y = _labelled_split(train_z, train_y, test_z, test_y)
     if not (1 <= k <= train_z.shape[0]):
         raise DomainError(f"k must lie in [1, {train_z.shape[0]}], got {k!r}")
     votes = train_y[_knn(test_z, train_z, k)]
@@ -153,14 +161,7 @@ def linear_probe(train_z, train_y, test_z, test_y, epochs=200, lr=1e-2, seed=0):
 
     Full-batch Adam on the cross-entropy; deterministic for a given seed.
     """
-    train_z = np.asarray(train_z, dtype=float)
-    test_z = np.asarray(test_z, dtype=float)
-    train_y = np.asarray(train_y, dtype=np.int64)
-    test_y = np.asarray(test_y, dtype=np.int64)
-    if train_z.ndim != 2 or test_z.ndim != 2 or train_z.shape[1] != test_z.shape[1]:
-        raise DimensionError(f"feature matrices disagree: {train_z.shape} vs {test_z.shape}")
-    if np.any(train_y < 0) or np.any(test_y < 0):
-        raise DomainError("class ids must be non-negative")
+    train_z, train_y, test_z, test_y = _labelled_split(train_z, train_y, test_z, test_y)
     n_classes = int(max(train_y.max(), test_y.max())) + 1
     if n_classes < 2:
         raise DomainError("need at least 2 classes to probe")
@@ -229,6 +230,8 @@ def kmeans_labels(x, clusters, seed=0, iters=100):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < clusters:
         raise DimensionError(f"cannot place {clusters} centers over shape {x.shape}")
+    if clusters < 1:
+        raise DomainError(f"clusters must be >= 1, got {clusters!r}")
     rng = np.random.default_rng([seed, 11])
     centers = x[rng.choice(x.shape[0], size=clusters, replace=False)].copy()
     labels = np.full(x.shape[0], -1)

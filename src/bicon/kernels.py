@@ -14,11 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .divergences import SIMPLEX_TOL, _xlogy
 from .errors import DegenerateRowError, DimensionError, DomainError, NumericalError
 
 KERNEL_FAMILIES = ("angular", "distance")
 
 _UNIT_TOL = 1e-9
+
+# supervisory_sne: steps per search phase, and the tolerance on exp(row entropy)
+_BISECT_STEPS = 64
+_PERPLEXITY_TOL = 1e-4
 
 # floats per squared_distances buffer: a block of rows times len(b)
 _BLOCK_FLOATS = 1 << 15
@@ -252,7 +257,7 @@ def learned_rows(z, spec):
     return kernel_rows(similarity_matrix(z, spec))
 
 
-def validate_distribution(mat, tol=1e-9):
+def validate_distribution(mat):
     """Raise unless mat is square with zero diagonal and unit row sums."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
@@ -264,8 +269,8 @@ def validate_distribution(mat, tol=1e-9):
     if np.any(m < 0.0):
         raise DomainError("transition matrix contains negative entries")
     err = np.max(np.abs(m.sum(axis=1) - 1.0))
-    if err > tol:
-        raise DomainError(f"transition rows must sum to 1 within {tol}, worst error {err!r}")
+    if err > SIMPLEX_TOL:
+        raise DomainError(f"transition rows must sum to 1 within {SIMPLEX_TOL}, worst error {err!r}")
     return m
 
 
@@ -275,21 +280,18 @@ def _row_stats(d2, beta, off):
     t = t - t.max(axis=1, keepdims=True)
     w = np.exp(t)
     P = w / w.sum(axis=1, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = P * np.log(P)
-    plogp[P <= 0.0] = 0.0
-    return P, np.exp(-plogp.sum(axis=1))
+    return P, np.exp(-_xlogy(P, P).sum(axis=1))
 
 
-def supervisory_sne(x, perplexity, max_iter=64, tol=1e-4):
+def supervisory_sne(x, perplexity):
     """Gaussian conditional neighbor rows with per-point bandwidths.
 
     Row i is exp(-||x_i - x_j||^2 / (2 sigma_i^2)) normalized over j != i,
     with sigma_i found by bisection so that exp(row entropy) matches the
-    requested perplexity within tol. Rows whose entropy does not depend
-    on the bandwidth at all (mutually equidistant neighborhoods) are
-    accepted as-is; any other row that fails to converge raises, carrying
-    the row index.
+    requested perplexity within _PERPLEXITY_TOL. Rows whose entropy does
+    not depend on the bandwidth at all (mutually equidistant
+    neighborhoods) are accepted as-is; any other row that fails to
+    converge raises, carrying the row index.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 3:
@@ -305,7 +307,7 @@ def supervisory_sne(x, perplexity, max_iter=64, tol=1e-4):
     hi = np.ones(n)
     _, f_lo = _row_stats(d2, np.zeros(n), off)
     _, f_hi = _row_stats(d2, hi, off)
-    for _ in range(max_iter):
+    for _ in range(_BISECT_STEPS):
         if not np.all(np.isfinite(f_hi)):
             raise NumericalError(
                 "non-finite entropy during bandwidth search",
@@ -319,17 +321,17 @@ def supervisory_sne(x, perplexity, max_iter=64, tol=1e-4):
 
     unreachable = f_hi > target
     if unreachable.any():
-        flat = np.abs(f_hi - f_lo) <= tol
+        flat = np.abs(f_hi - f_lo) <= _PERPLEXITY_TOL
         bad = unreachable & ~flat
         if bad.any():
             raise NumericalError(
-                f"bandwidth bisection did not converge after {max_iter} doublings",
+                f"bandwidth bisection did not converge after {_BISECT_STEPS} doublings",
                 row=int(np.argmax(bad)),
             )
     active = ~unreachable
     lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
 
-    for _ in range(max_iter):
+    for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         _, f_mid = _row_stats(d2, mid, off)
         go_hi = f_mid >= target
@@ -338,10 +340,10 @@ def supervisory_sne(x, perplexity, max_iter=64, tol=1e-4):
     beta = np.where(active, 0.5 * (lo + hi), hi)
 
     P, f = _row_stats(d2, beta, off)
-    bad = active & (np.abs(f - target) > tol)
+    bad = active & (np.abs(f - target) > _PERPLEXITY_TOL)
     if bad.any():
         raise NumericalError(
-            f"bandwidth bisection did not reach perplexity {target} within {tol}",
+            f"bandwidth bisection did not reach perplexity {target} within {_PERPLEXITY_TOL}",
             row=int(np.argmax(bad)),
         )
     return P
@@ -526,8 +528,8 @@ def _cluster_transition(assignments):
     if not np.all(np.isfinite(phi)) or np.any(phi < 0.0):
         raise DomainError("assignments must be finite and non-negative")
     err = np.max(np.abs(phi.sum(axis=1) - 1.0))
-    if err > 1e-9:
-        raise DomainError(f"assignment rows must sum to 1 within 1e-9, worst error {err!r}")
+    if err > SIMPLEX_TOL:
+        raise DomainError(f"assignment rows must sum to 1 within {SIMPLEX_TOL}, worst error {err!r}")
     G = phi @ phi.T
     np.fill_diagonal(G, 0.0)
     r = G.sum(axis=1, keepdims=True)

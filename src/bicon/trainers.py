@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .divergences import KINDS, divergence_grad_rows, divergence_rows
+from .divergences import KINDS, divergence_rows
 from .errors import ConfigError, DimensionError, DomainError, NumericalError, check_field_types
 from .evaluation import holdout_split, hungarian_accuracy, knn_accuracy, silhouette
 from .kernels import (
@@ -175,8 +175,9 @@ def _loss_and_grad(divergence, p, q):
     q = validate_distribution(q)
     if p.shape != q.shape:
         raise DimensionError(f"p and q shapes differ: {p.shape} vs {q.shape}")
-    loss = float(divergence_rows(divergence, p, q).mean())
-    g = divergence_grad_rows(divergence, p, q) / p.shape[0]
+    values, g = divergence_rows(divergence, p, q)
+    loss = float(values.mean())
+    g /= p.shape[0]
     np.fill_diagonal(g, 0.0)
     return loss, g
 

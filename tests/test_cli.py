@@ -152,13 +152,13 @@ class TestGradcheckCommand:
         assert "FAIL" not in out
 
     def test_corrupted_gradient_fails_and_names_component(self, capsys, monkeypatch):
-        real = divergences.divergence_grad_rows
+        real = divergences.divergence_rows
 
         def crooked(kind, p, q):
-            grad = real(kind, p, q)
-            return grad + 0.5 if kind == "KL" else grad
+            values, grad = real(kind, p, q)
+            return values, (grad + 0.5 if kind == "KL" else grad)
 
-        monkeypatch.setattr(divergences, "divergence_grad_rows", crooked)
+        monkeypatch.setattr(divergences, "divergence_rows", crooked)
         assert main(["gradcheck", "divergences"]) == EXIT_GRADCHECK
         out = capsys.readouterr().out
         assert "gradcheck divergences: 3/4" in out

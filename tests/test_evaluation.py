@@ -131,6 +131,18 @@ class TestLinearProbe:
         # 3 sigma binomial band around 0.5
         assert abs(acc - 0.5) < 3.0 * 0.5 / np.sqrt(200)
 
+    @pytest.mark.parametrize("n_train_y, n_test_y", [(9, 4), (10, 5)])
+    def test_label_length_mismatch(self, n_train_y, n_test_y):
+        y = np.arange(10) % 2
+        with pytest.raises(DimensionError):
+            linear_probe(np.zeros((10, 2)), y[:n_train_y], np.zeros((4, 2)), y[:n_test_y])
+
+    @pytest.mark.parametrize("n_train, n_test", [(0, 4), (10, 0)])
+    def test_empty_set(self, n_train, n_test):
+        y = np.arange(10) % 2
+        with pytest.raises(DimensionError, match="empty"):
+            linear_probe(np.zeros((n_train, 2)), y[:n_train], np.zeros((n_test, 2)), y[:n_test])
+
 
 class TestSilhouette:
     def test_hand_value_two_pairs(self):
@@ -198,3 +210,7 @@ class TestKmeans:
         rng = np.random.default_rng(149)
         x = rng.normal(size=(60, 4))
         np.testing.assert_array_equal(kmeans_labels(x, 4, seed=7), kmeans_labels(x, 4, seed=7))
+
+    def test_zero_clusters_rejected(self):
+        with pytest.raises(DomainError):
+            kmeans_labels(np.zeros((5, 2)), 0)
