@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError
-from .kernels import _knn, squared_distances
+from .kernels import _BLOCK_FLOATS, _OVERFLOW, _knn, squared_distances
 from .model import Adam, ClusterHead, head_forward
 
 
@@ -182,8 +182,21 @@ def linear_probe(train_z, train_y, test_z, test_y, epochs=200, lr=1e-2, seed=0):
 
 
 def silhouette(z, labels):
-    """Mean silhouette score; singleton-cluster points score 0, as do
-    points whose within- and between-cluster distances are both zero."""
+    """Mean silhouette score (Rousseeuw, J. Comput. Appl. Math. 20, 1987);
+    singleton-cluster points score 0, as do points whose within- and
+    between-cluster distances are both zero. Features with inf or NaN
+    entries, or whose distances overflow, raise DomainError.
+
+    Distance sums to each cluster are taken over the upper triangle, one
+    stripe of about 2**15 distances at a time: rows start:stop against
+    points start:, added to the stripe's own rows and, transposed, to
+    rows stop:. So each pair's distance is computed once, and memory
+    beyond O(N (d + k)) is the stripe and squared_distances' buffers
+    (about 9 * 2**15 floats), never N x N. The mirror is exact, since
+    squared_distances replays a per-pair np.sum and (a - b)**2 equals
+    (b - a)**2 bit for bit; only the order of the sums differs from one
+    dense product.
+    """
     z = np.asarray(z, dtype=float)
     y = np.asarray(labels)
     if z.ndim != 2 or z.shape[0] < 3:
@@ -195,11 +208,19 @@ def silhouette(z, labels):
     if k < 2:
         raise DomainError("silhouette needs at least 2 distinct clusters")
     n = z.shape[0]
-    # in place: at N points, each N x N temporary is 8 N^2 bytes
-    D = squared_distances(z)
-    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
-    onehot = inv[:, None] == np.arange(k)[None, :]
-    sums = D @ onehot
+    onehot = np.eye(k)[inv]
+    sums = np.zeros((n, k))
+    stripe = max(1, _BLOCK_FLOATS // n)
+    for start in range(0, n, stripe):
+        stop = min(start + stripe, n)
+        # inf and NaN are legal here; the check below rejects them
+        with np.errstate(invalid="ignore"):
+            dist = squared_distances(z[start:stop], z[start:])
+        if not np.isfinite(dist).all():
+            raise DomainError(_OVERFLOW)
+        np.sqrt(dist, out=dist)
+        sums[start:stop] += dist @ onehot[start:]
+        sums[stop:] += dist[:, stop - start:].T @ onehot[start:stop]
     counts = onehot.sum(axis=0)
     own_count = counts[inv]
     a = sums[np.arange(n), inv] / np.maximum(own_count - 1, 1)

@@ -397,7 +397,7 @@ def _knn_graph(x, k):
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
 
-_OVERFLOW = "k-nearest neighbours need features whose squared norms and distances are finite"
+_OVERFLOW = "pairwise distances need features whose squared norms and distances are finite"
 
 
 def _knn(a, b, k, exclude_self=False):

@@ -471,7 +471,7 @@ class TestEvalCommand:
         assert rc == EXIT_CONFIG
         assert "24" in capsys.readouterr().err
 
-    def test_eval_knn_on_overflowing_features_exits_2(self, tmp_path, capsys):
+    def _eval_overflowing_features(self, tmp_path, capsys, metric):
         # a linear encoder carries a 1e200 feature into an embedding whose
         # squared norm overflows
         out, data_path = self._run_and_save_data(tmp_path, sne_config(mode="parametric", encoder="linear"))
@@ -480,9 +480,15 @@ class TestEvalCommand:
         big = tmp_path / "big.csv"
         save_csv(m, big)
         capsys.readouterr()
-        rc = main(["eval", "--checkpoint", str(out / "checkpoint.bicn"), "--data", str(big), "--metrics", "knn"])
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint.bicn"), "--data", str(big), "--metrics", metric])
         assert rc == EXIT_CONFIG
         assert "squared norms and distances are finite" in capsys.readouterr().err
+
+    def test_eval_knn_on_overflowing_features_exits_2(self, tmp_path, capsys):
+        self._eval_overflowing_features(tmp_path, capsys, "knn")
+
+    def test_eval_silhouette_on_overflowing_features_exits_2(self, tmp_path, capsys):
+        self._eval_overflowing_features(tmp_path, capsys, "silhouette")
 
     def test_eval_overflowing_checkpoint_shape_exits_2(self, tmp_path, capsys):
         # a free checkpoint declaring shape (2^40, 2^40) and no payload

@@ -1,9 +1,12 @@
-"""Dataset generation, matrix file IO, and CSV/SVG emission."""
+"""Dataset generation, matrix file IO, CSV/SVG emission, and damaged
+input files."""
 
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from bicon import DatasetSpec, generate, load_matrix
 from bicon.data import (
@@ -16,6 +19,7 @@ from bicon.data import (
 )
 from bicon.errors import ConfigError, DimensionError, ParseError
 from bicon.evaluation import holdout_split, knn_accuracy
+from bicon.model import ClusterHead, Encoder, FreeEmbedding, load_checkpoint, save_checkpoint
 
 
 def blob_spec(**kw):
@@ -271,3 +275,59 @@ class TestReportCsv:
         col = header.index("silhouette")
         assert rows[0][col] == ""  # step 0 carries no snapshot
         assert rows[1][col] != ""
+
+
+@st.composite
+def damaged(draw, blob):
+    """blob after one to three edits, each a byte replaced, a byte
+    inserted, or the tail cut off."""
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(("replace", "insert", "truncate")))
+        at = draw(st.integers(0, max(len(blob) - 1, 0)))
+        byte = bytes([draw(st.integers(0, 255))])
+        if edit == "replace":
+            blob = blob[:at] + byte + blob[at + 1:]
+        elif edit == "insert":
+            blob = blob[:at] + byte + blob[at:]
+        else:
+            blob = blob[:at]
+    return blob
+
+
+# each example overwrites the one file it reads, so tmp_path may be shared
+damaged_files = settings(max_examples=300, deadline=None,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestDamagedFiles:
+    """A damaged file either loads or raises ParseError, never anything else."""
+
+    @pytest.mark.parametrize("model", [
+        FreeEmbedding(np.arange(6.0).reshape(3, 2)),
+        Encoder.init("linear", 3, 0, 2, np.random.default_rng(0)),
+        Encoder.init("mlp1", 2, 3, 2, np.random.default_rng(1)),
+        ClusterHead.init(3, 2, np.random.default_rng(2)),
+    ], ids=lambda m: m.kind)
+    @damaged_files
+    @given(data=st.data())
+    def test_checkpoint(self, tmp_path, model, data):
+        path = tmp_path / "model.bicn"
+        save_checkpoint(path, model)
+        path.write_bytes(data.draw(damaged(path.read_bytes())))
+        try:
+            load_checkpoint(path)
+        except ParseError:
+            pass
+
+    @pytest.mark.parametrize("save", [save_binary, save_csv], ids=["bimx1", "csv"])
+    @damaged_files
+    @given(data=st.data())
+    def test_matrix(self, tmp_path, save, data):
+        m = LabeledMatrix(np.array([[0.5, -1.25], [3.0, 1e-3], [-2.0, 7.5]]), np.array([0, 2, 1]))
+        path = tmp_path / "matrix"
+        save(m, path)
+        path.write_bytes(data.draw(damaged(path.read_bytes())))
+        try:
+            load_matrix(path)
+        except ParseError:
+            pass

@@ -1,10 +1,14 @@
 """Evaluation metrics: assignment accuracy, kNN, probe, silhouette, k-means."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bicon import evaluation
 from bicon.errors import DimensionError, DomainError
 from bicon.evaluation import (
     confusion_matrix,
@@ -16,6 +20,7 @@ from bicon.evaluation import (
     max_assignment,
     silhouette,
 )
+from bicon.kernels import squared_distances
 
 
 def brute_force_assignment(weights):
@@ -25,6 +30,46 @@ def brute_force_assignment(weights):
         total = sum(weights[i, perm[i]] for i in range(n))
         best = max(best, total)
     return best
+
+
+def dense_silhouette(z, labels):
+    """silhouette from one N x N distance matrix, as it was computed before
+    the row stripes; the reference the striped form is held to."""
+    z = np.asarray(z, dtype=float)
+    uniq, inv = np.unique(labels, return_inverse=True)
+    k = uniq.shape[0]
+    n = z.shape[0]
+    D = squared_distances(z)
+    np.sqrt(np.maximum(D, 0.0, out=D), out=D)
+    onehot = inv[:, None] == np.arange(k)[None, :]
+    sums = D @ onehot
+    counts = onehot.sum(axis=0)
+    own_count = counts[inv]
+    a = sums[np.arange(n), inv] / np.maximum(own_count - 1, 1)
+    mean_other = sums / counts[None, :]
+    mean_other[np.arange(n), inv] = np.inf
+    b = mean_other.min(axis=1)
+    s = np.zeros(n)
+    denom = np.maximum(a, b)
+    ok = (own_count > 1) & (denom > 0.0)
+    s[ok] = (b[ok] - a[ok]) / denom[ok]
+    return float(s.mean())
+
+
+@st.composite
+def silhouette_instances(draw):
+    """3 to 40 points drawn from a pool of distinct rows (so a small pool
+    repeats points), labelled with 2 to 5 arbitrary integers (so some
+    clusters are singletons)."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 6))
+    pool = rng.normal(size=(draw(st.integers(1, n)), d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+    z = pool[rng.integers(0, len(pool), size=n)]
+    values = draw(st.lists(st.integers(-2 ** 62, 2 ** 62), min_size=2, max_size=5, unique=True))
+    pick = rng.integers(0, len(values), size=n)
+    pick[:2] = 0, 1
+    return z, np.array(values)[rng.permutation(pick)]
 
 
 class TestAssignment:
@@ -178,6 +223,51 @@ class TestSilhouette:
     def test_single_cluster_rejected(self):
         with pytest.raises(DomainError):
             silhouette(np.zeros((4, 2)), np.zeros(4, dtype=int))
+
+    @settings(max_examples=200, deadline=None)
+    @given(silhouette_instances(), st.integers(1, 1600))
+    def test_matches_dense_form_over_uneven_stripes(self, instance, budget):
+        z, labels = instance
+        want = dense_silhouette(z, labels)
+        with pytest.MonkeyPatch.context() as mp:
+            # stripes of budget // N rows, the last one usually shorter
+            mp.setattr(evaluation, "_BLOCK_FLOATS", budget)
+            assert silhouette(z, labels) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("rows_per_stripe", [50, 49])
+    def test_one_stripe_and_one_row_more(self, monkeypatch, rows_per_stripe):
+        rng = np.random.default_rng(151)
+        z = rng.normal(size=(50, 3))
+        labels = rng.integers(0, 4, size=50)
+        monkeypatch.setattr(evaluation, "_BLOCK_FLOATS", 50 * rows_per_stripe)
+        assert silhouette(z, labels) == pytest.approx(dense_silhouette(z, labels), abs=1e-12)
+
+    def test_duplicate_points_and_singletons_score_zero(self):
+        # within- and between-cluster distances all zero, and one singleton
+        z = np.ones((5, 2))
+        assert silhouette(z, np.array([7, 7, -3, -3, 2 ** 40])) == 0.0
+
+    def test_no_n_by_n_temporary(self):
+        n = 2000
+        rng = np.random.default_rng(157)
+        z = rng.normal(size=(n, 16))
+        labels = rng.integers(0, 4, size=n)
+        tracemalloc.start()
+        try:
+            silhouette(z, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a quarter of one N x N float64 array
+        assert peak < 8 * n * n / 4
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_non_finite_distances_rejected(self, bad):
+        rng = np.random.default_rng(163)
+        z = rng.normal(size=(12, 3))
+        z[5, 1] = bad
+        with pytest.raises(DomainError, match="squared norms and distances are finite"):
+            silhouette(z, np.arange(12) % 3)
 
 
 class TestHoldout:

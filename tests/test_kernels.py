@@ -422,6 +422,16 @@ class TestSquaredDistancesProperties:
         assert np.array_equal(squared_distances(a, b, block=block), per_pair_sums(a, b))
         assert np.array_equal(squared_distances(a, block=block), per_pair_sums(a, a))
 
+    @settings(max_examples=200, deadline=None)
+    @given(row_matrix_pairs())
+    def test_mirror_is_exact(self, pair):
+        # silhouette adds each upper-triangle distance to both points' sums
+        a, b = pair
+        assert np.array_equal(squared_distances(a, b), squared_distances(b, a).T)
+        d2 = squared_distances(a)
+        assert np.array_equal(d2, d2.T)
+        assert not np.diagonal(d2).any()
+
     @pytest.mark.parametrize("d", [7, 8, 15, 128, 129, 136, 256, 257, 264, 520])
     def test_every_summation_shape(self, d):
         # the boundaries of np.sum's order: 8 terms, 128, and 2 and 3 levels of splits
