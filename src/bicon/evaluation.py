@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericalError
-from .kernels import _BLOCK_FLOATS, _OVERFLOW, _knn, squared_distances
+from .kernels import _BLOCK_FLOATS, _finite, _knn, squared_distances
 from .model import Adam, ClusterHead, head_forward
 
 
@@ -120,7 +120,7 @@ def hungarian_accuracy(pred, truth):
 def _labelled_split(train_z, train_y, test_z, test_y):
     """The four arrays as float features and int64 labels; DimensionError
     for mismatched shapes or an empty set, DomainError for negative class
-    ids."""
+    ids or features whose squared row norms are not finite."""
     train_z = np.asarray(train_z, dtype=float)
     test_z = np.asarray(test_z, dtype=float)
     train_y = np.asarray(train_y, dtype=np.int64)
@@ -133,6 +133,10 @@ def _labelled_split(train_z, train_y, test_z, test_y):
         raise DimensionError(f"train and test sets must be non-empty, got {len(train_z)} and {len(test_z)} rows")
     if np.any(train_y < 0) or np.any(test_y < 0):
         raise DomainError("class ids must be non-negative")
+    for z in (train_z, test_z):
+        # overflow is legal here; _finite rejects it
+        with np.errstate(over="ignore"):
+            _finite(np.einsum("ij,ij->i", z, z))
     return train_z, train_y, test_z, test_y
 
 
@@ -160,6 +164,7 @@ def linear_probe(train_z, train_y, test_z, test_y, epochs=200, lr=1e-2, seed=0):
     """Top-1 accuracy of a softmax linear classifier on frozen features.
 
     Full-batch Adam on the cross-entropy; deterministic for a given seed.
+    Features whose squared row norms are not finite raise DomainError.
     """
     train_z, train_y, test_z, test_y = _labelled_split(train_z, train_y, test_z, test_y)
     n_classes = int(max(train_y.max(), test_y.max())) + 1
@@ -193,9 +198,9 @@ def silhouette(z, labels):
     rows stop:. So each pair's distance is computed once, and memory
     beyond O(N (d + k)) is the stripe and squared_distances' buffers
     (about 9 * 2**15 floats), never N x N. The mirror is exact, since
-    squared_distances replays a per-pair np.sum and (a - b)**2 equals
-    (b - a)**2 bit for bit; only the order of the sums differs from one
-    dense product.
+    squared_distances adds each pair's squares left to right and
+    (a - b)**2 equals (b - a)**2 bit for bit; only the order of the sums
+    differs from one dense product.
     """
     z = np.asarray(z, dtype=float)
     y = np.asarray(labels)
@@ -213,11 +218,7 @@ def silhouette(z, labels):
     stripe = max(1, _BLOCK_FLOATS // n)
     for start in range(0, n, stripe):
         stop = min(start + stripe, n)
-        # inf and NaN are legal here; the check below rejects them
-        with np.errstate(invalid="ignore"):
-            dist = squared_distances(z[start:stop], z[start:])
-        if not np.isfinite(dist).all():
-            raise DomainError(_OVERFLOW)
+        dist = _finite(squared_distances(z[start:stop], z[start:]))
         np.sqrt(dist, out=dist)
         sums[start:stop] += dist @ onehot[start:]
         sums[stop:] += dist[:, stop - start:].T @ onehot[start:stop]
@@ -247,7 +248,8 @@ def holdout_split(n, test_fraction=0.25, seed=0):
 
 
 def kmeans_labels(x, clusters, seed=0, iters=100):
-    """Plain Lloyd's k-means labels; a sanity baseline, not a trainer."""
+    """Plain Lloyd's k-means labels; a sanity baseline, not a trainer.
+    Non-finite distances to the centers raise DomainError."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < clusters:
         raise DimensionError(f"cannot place {clusters} centers over shape {x.shape}")
@@ -257,7 +259,7 @@ def kmeans_labels(x, clusters, seed=0, iters=100):
     centers = x[rng.choice(x.shape[0], size=clusters, replace=False)].copy()
     labels = np.full(x.shape[0], -1)
     for _ in range(int(iters)):
-        d2 = squared_distances(x, centers)
+        d2 = _finite(squared_distances(x, centers))
         new_labels = d2.argmin(axis=1)
         for c in range(clusters):
             mask = new_labels == c

@@ -46,106 +46,44 @@ class KernelSpec:
 def squared_distances(a, b=None, block=None):
     """Pairwise squared euclidean distances between rows of a and b.
 
-    Each entry matches a direct per-pair recomputation
-    np.sum((a[i] - b[j]) ** 2) bit for bit, because the squared
-    differences are added in np.sum's own pairwise order, replayed one
-    coordinate at a time over whole block x len(b) buffers:
-
-    - fewer than 8 terms are added left to right;
-    - 8 to 128 terms go to 8 running sums (term t to sum t % 8) while
-      whole groups of 8 remain; the sums are combined as
-      ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)), and the last
-      len % 8 terms are then added in order;
-    - more than 128 terms split at half the count, rounded down to a
-      multiple of 8, and the two halves' sums are added.
-
-    Rows of a are taken block at a time. By default a block holds about
-    2**15 / len(b) rows, so that each buffer (about 2**15 floats) stays
-    in cache. The buffers come from one allocation: one temporary, and
-    from 8 terms up 7 running sums beside the output rows, plus one per
-    level of splitting.
-
-    A blocked np.sum(diff * diff, axis=-1) gives the same bits, but it
-    reduces a d-long inner axis once per entry: at d = 2 that is about
-    9 times slower, and at d = 16 about 1.6 times (numpy 2.4, one Xeon
-    core).
+    Each entry adds its squared differences left to right, so it equals
+    np.cumsum((a[i] - b[j]) ** 2)[-1] bit for bit whatever the block, and
+    since (x - y) ** 2 equals (y - x) ** 2, squared_distances(a, b) is
+    exactly squared_distances(b, a).T. Rows of a are taken block at a
+    time, one coordinate at a time over whole block x len(b) buffers; by
+    default a block holds about 2**15 / len(b) rows, so that each buffer
+    stays in cache. Overflow gives +inf, and inf or NaN inputs give inf or
+    NaN: callers that need finite distances check them.
     """
     a = np.asarray(a, dtype=float)
     b = a if b is None else np.asarray(b, dtype=float)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"expected row matrices with equal widths, got {a.shape} and {b.shape}")
     n, m = a.shape[0], b.shape[0]
+    if a.shape[1] == 0:
+        return np.zeros((n, m))
     if block is None:
         block = max(1, _BLOCK_FLOATS // max(m, 1))
     out = np.empty((n, m))
     # one contiguous row per coordinate
     at = np.ascontiguousarray(a.T)
     bt = at if b is a else np.ascontiguousarray(b.T)
-    # one allocation, not one per buffer: freeing a block this large (2 MB
-    # from 8 terms up) raises glibc's dynamic mmap threshold, which keeps
-    # the N x N temporaries of supervisory_sne and the SNE step on the heap
-    # instead of mapping and faulting them in afresh on every call
-    tmp, *sums = np.empty((1 + _sums_needed(a.shape[1]), min(block, n), m))
-    # overflow to inf is legal here; consumers validate finiteness
-    with np.errstate(over="ignore"):
+    # one allocation of at least 9 * 2**15 floats (2.4 MB) at every width:
+    # freeing a block this large raises glibc's dynamic mmap threshold, which
+    # keeps the N x N temporaries of supervisory_sne and the SNE step on the
+    # heap instead of mapping and faulting them in afresh on every call
+    shape = (min(block, n), m)
+    tmp = np.empty(max(shape[0] * m, 9 * _BLOCK_FLOATS))[:shape[0] * m].reshape(shape)
+    with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, block):
             rows = out[start:start + block]
-            _add_squares(rows, at[:, start:start + block], bt, tmp[:len(rows)], sums)
+            for k in range(a.shape[1]):
+                into = tmp[:len(rows)] if k else rows
+                np.subtract(at[k, start:start + block, None], bt[k], out=into)
+                np.multiply(into, into, out=into)
+                if k:
+                    rows += into
     return out
-
-
-def _sums_needed(count):
-    """Running-sum buffers that _add_squares needs for count terms."""
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return max(_sums_needed(half), 1 + _sums_needed(count - half))
-    return 7 if count >= 8 else 0
-
-
-def _add_squares(dst, ac, bc, tmp, sums, level=0):
-    """Set dst[i, j] to the sum over k of (ac[k, i] - bc[k, j]) ** 2,
-    added in np.sum's order (see squared_distances). A leaf at this
-    level adds into dst and sums[level:level + 7]; a split keeps its
-    second half's sum in sums[level]."""
-    count = ac.shape[0]
-
-    def square(k, into):
-        np.subtract(ac[k, :, None], bc[k], out=into)
-        np.multiply(into, into, out=into)
-
-    def add(k, into):
-        square(k, tmp)
-        into += tmp
-
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        _add_squares(dst, ac[:half], bc[:half], tmp, sums, level)
-        rest = sums[level][:len(dst)]
-        _add_squares(rest, ac[half:], bc[half:], tmp, sums, level + 1)
-        dst += rest
-    elif count >= 8:
-        s = [dst] + [buf[:len(dst)] for buf in sums[level:level + 7]]
-        whole = count - count % 8
-        for k in range(8):
-            square(k, s[k])
-        for k in range(8, whole):
-            add(k, s[k % 8])
-        s[0] += s[1]
-        s[2] += s[3]
-        s[0] += s[2]
-        s[4] += s[5]
-        s[6] += s[7]
-        s[4] += s[6]
-        s[0] += s[4]
-        for k in range(whole, count):
-            add(k, dst)
-    elif count:
-        # np.sum starts at 0.0, and 0.0 + t == t for every square t
-        square(0, dst)
-        for k in range(1, count):
-            add(k, dst)
-    else:
-        dst.fill(0.0)
 
 
 def normalize_rows(z):
@@ -291,7 +229,8 @@ def supervisory_sne(x, perplexity):
     requested perplexity within _PERPLEXITY_TOL. Rows whose entropy does
     not depend on the bandwidth at all (mutually equidistant
     neighborhoods) are accepted as-is; any other row that fails to
-    converge raises, carrying the row index.
+    converge raises, carrying the row index; non-finite distances raise
+    DomainError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 3:
@@ -300,7 +239,7 @@ def supervisory_sne(x, perplexity):
     if not (2.0 <= perplexity <= n - 1):
         raise DomainError(f"perplexity must lie in [2, N-1] = [2, {n - 1}], got {perplexity!r}")
     target = float(perplexity)
-    d2 = squared_distances(x)
+    d2 = _finite(squared_distances(x))
     off = ~np.eye(n, dtype=bool)
 
     # bisection runs on beta = 1 / (2 sigma^2); exp-entropy decreases in beta
@@ -400,6 +339,13 @@ _ETA = 2.0 ** -1074
 _OVERFLOW = "pairwise distances need features whose squared norms and distances are finite"
 
 
+def _finite(values):
+    """values, if every entry is finite; DomainError(_OVERFLOW) if not."""
+    if not np.isfinite(values).all():
+        raise DomainError(_OVERFLOW)
+    return values
+
+
 def _knn(a, b, k, exclude_self=False):
     """Column indices of each row of a's k nearest rows of b, in
     ascending column order: _nearest(squared_distances(a, b), k), over
@@ -467,9 +413,7 @@ def _knn(a, b, k, exclude_self=False):
             h += bb
             if exclude_self:
                 h[np.arange(stop - start), np.arange(start, stop)] = np.inf
-            top = np.partition(h, k - 1, axis=1)[:, k - 1:k] + 2.0 * slack[start:stop, None]
-        if not np.isfinite(top).all():
-            raise DomainError(_OVERFLOW)
+            top = _finite(np.partition(h, k - 1, axis=1)[:, k - 1:k] + 2.0 * slack[start:stop, None])
         found.append(np.flatnonzero(h <= top) + start * m)
     rows, cols = np.divmod(np.concatenate(found), m)
     e = np.empty(len(rows))
@@ -478,8 +422,7 @@ def _knn(a, b, k, exclude_self=False):
     for s in range(0, len(rows), step):
         # |a_i - b_j - 0|^2 is squared_distances' value of the pair, bit for bit
         e[s:s + step] = squared_distances(a[rows[s:s + step]] - b[cols[s:s + step]], origin)[:, 0]
-    if not np.isfinite(e).all():
-        raise DomainError(_OVERFLOW)
+    _finite(e)
     counts = np.bincount(rows, minlength=n)
     slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
     d2 = np.full((n, counts.max()), np.inf)

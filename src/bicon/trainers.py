@@ -286,6 +286,8 @@ def run_sne(config, x, labels=None):
     Adam step.
     """
     cfg = resolve_config(config)
+    if cfg.task != "sne":
+        raise ConfigError(f"run_sne got a config for task {cfg.task!r}")
     x = np.asarray(x, dtype=float)
     p = validate_distribution(supervisory_sne(x, cfg.perplexity))
     spec = KernelSpec(cfg.kernel, cfg.scale)

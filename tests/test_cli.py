@@ -280,16 +280,22 @@ class TestRunCommand:
         assert rc == EXIT_CONFIG
         assert "no batch of at least 4 points" in capsys.readouterr().err
 
-    def test_cluster_on_overflowing_features_exits_2(self, tmp_path, capsys):
+    def _run_on_overflowing_features(self, tmp_path, capsys, task, config):
         # 1e200 loads as a finite float, but its squared norm overflows
         m = generate(DatasetSpec(n=30, d=3, classes=3, separation=8.0, seed=2))
         m.features[4, 1] = 1e200
         data = tmp_path / "big.csv"
         save_csv(m, data)
-        cfg = write_json(tmp_path / "cfg.json", cluster_config(data_generator="file", data_path=str(data)))
-        rc = main(["run", "cluster", "--config", cfg, "--out", str(tmp_path / "o")])
+        cfg = write_json(tmp_path / "cfg.json", {**config, "data_generator": "file", "data_path": str(data)})
+        rc = main(["run", task, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "squared norms and distances are finite" in capsys.readouterr().err
+
+    def test_cluster_on_overflowing_features_exits_2(self, tmp_path, capsys):
+        self._run_on_overflowing_features(tmp_path, capsys, "cluster", cluster_config())
+
+    def test_sne_on_overflowing_features_exits_2(self, tmp_path, capsys):
+        self._run_on_overflowing_features(tmp_path, capsys, "sne", sne_config(mode="parametric"))
 
     def test_overflow_aborts_with_numerical_exit(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", sne_config(divergence="KL", lr=1e155))
@@ -489,6 +495,9 @@ class TestEvalCommand:
 
     def test_eval_silhouette_on_overflowing_features_exits_2(self, tmp_path, capsys):
         self._eval_overflowing_features(tmp_path, capsys, "silhouette")
+
+    def test_eval_probe_on_overflowing_features_exits_2(self, tmp_path, capsys):
+        self._eval_overflowing_features(tmp_path, capsys, "probe")
 
     def test_eval_overflowing_checkpoint_shape_exits_2(self, tmp_path, capsys):
         # a free checkpoint declaring shape (2^40, 2^40) and no payload

@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,17 @@ class TestLinearProbe:
         with pytest.raises(DimensionError, match="empty"):
             linear_probe(np.zeros((n_train, 2)), y[:n_train], np.zeros((n_test, 2)), y[:n_test])
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_non_finite_features_rejected(self, bad, side):
+        z = np.random.default_rng(157).normal(size=(14, 3))
+        z[3 if side == "train" else 12, 1] = bad
+        y = np.arange(14) % 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="squared norms and distances are finite"):
+                linear_probe(z[:10], y[:10], z[10:], y[10:])
+
 
 class TestSilhouette:
     def test_hand_value_two_pairs(self):
@@ -304,3 +316,12 @@ class TestKmeans:
     def test_zero_clusters_rejected(self):
         with pytest.raises(DomainError):
             kmeans_labels(np.zeros((5, 2)), 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_non_finite_distances_rejected(self, bad):
+        x = np.random.default_rng(151).normal(size=(12, 3))
+        x[5, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="squared norms and distances are finite"):
+                kmeans_labels(x, 3)

@@ -1,6 +1,7 @@
 """Softmax similarity kernels, supervisory constructions and their gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -201,6 +202,15 @@ class TestSupervisorySne:
         with pytest.raises(DomainError):
             supervisory_sne(x, 5.0)
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, 1e200])
+    def test_non_finite_distances_rejected(self, bad):
+        x = np.random.default_rng(23).normal(size=(12, 3))
+        x[5, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="squared norms and distances are finite"):
+                supervisory_sne(x, 4.0)
+
 
 class TestSupervisoryLabels:
     def test_one_positive_partner(self):
@@ -373,8 +383,8 @@ class TestGeometricInvariances:
 
 @st.composite
 def narrow_row_matrix_pairs(draw):
-    """Two row matrices of one random width in 1..12: the terms added
-    left to right, and the 8 running sums with their remainder."""
+    """Two row matrices of one random width in 1..12, with up to 9 rows
+    each, entries within +-1e6."""
     d = draw(st.integers(1, 12))
     elements = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     a = draw(arrays(np.float64, (draw(st.integers(1, 9)), d), elements=elements))
@@ -384,11 +394,10 @@ def narrow_row_matrix_pairs(draw):
 
 @st.composite
 def row_matrix_pairs(draw):
-    """Two row matrices of one random width in 1..300, with up to 40 rows:
-    below 8 terms, the 8 running sums with their remainder, and the
-    splits above 128 terms. Entries span twelve decades, so that any
-    change in the order of the additions changes the rounding; some
-    draws also zero a share of them."""
+    """Two row matrices of one random width in 1..300, with up to 40 rows.
+    Entries span twelve decades, so that any change in the order of the
+    additions changes the rounding; some draws also zero a share of
+    them."""
     d = draw(st.integers(1, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     zeros = draw(st.sampled_from([0.0, 0.5]))
@@ -403,7 +412,10 @@ def row_matrix_pairs(draw):
 
 
 def per_pair_sums(a, b):
-    return np.array([[np.sum((a[i] - b[j]) ** 2) for j in range(b.shape[0])]
+    """Each pair's squared differences added left to right, as the
+    reference. The squares are taken on whole arrays (x * x): a scalar
+    np.float64 ** 2 goes through libm's pow, which can round otherwise."""
+    return np.array([[np.cumsum((a[i] - b[j]) ** 2)[-1] for j in range(b.shape[0])]
                      for i in range(a.shape[0])])
 
 
@@ -434,7 +446,8 @@ class TestSquaredDistancesProperties:
 
     @pytest.mark.parametrize("d", [7, 8, 15, 128, 129, 136, 256, 257, 264, 520])
     def test_every_summation_shape(self, d):
-        # the boundaries of np.sum's order: 8 terms, 128, and 2 and 3 levels of splits
+        # widths on both sides of np.sum's regrouping points (8 terms, 128,
+        # and 2 and 3 levels of splits): a left-to-right sum has none of them
         rng = np.random.default_rng(d)
         a = rng.normal(size=(5, d)) * 10.0 ** rng.uniform(-6, 6, size=(5, d))
         b = rng.normal(size=(3, d)) * 10.0 ** rng.uniform(-6, 6, size=(3, d))

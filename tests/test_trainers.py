@@ -260,6 +260,13 @@ class TestRunSne:
         assert report.snapshots[-1][1]["knn"] >= 0.95
 
 
+    @pytest.mark.parametrize("task", ["cluster", "supcon"])
+    def test_rejects_other_task(self, task):
+        ds = toy_blobs(n=16)
+        with pytest.raises(ConfigError, match=f"run_sne got a config for task '{task}'"):
+            run_sne({"task": task, "divergence": "TV", "clusters": 2, "perplexity": 5.0, "epochs": 1},
+                    ds.features)
+
     @pytest.mark.parametrize("mode", ["free", "parametric"])
     def test_one_distance_pass_per_step(self, monkeypatch, mode):
         import bicon.evaluation
