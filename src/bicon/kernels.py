@@ -226,7 +226,8 @@ def supervisory_sne(x, perplexity):
 
     Row i is exp(-||x_i - x_j||^2 / (2 sigma_i^2)) normalized over j != i,
     with sigma_i found by bisection so that exp(row entropy) matches the
-    requested perplexity within _PERPLEXITY_TOL. Rows whose entropy does
+    requested perplexity within _PERPLEXITY_TOL. Rows are searched a block
+    at a time, about 2**15 / N rows per block. Rows whose entropy does
     not depend on the bandwidth at all (mutually equidistant
     neighborhoods) are accepted as-is; any other row that fails to
     converge raises, carrying the row index; non-finite distances raise
@@ -240,17 +241,28 @@ def supervisory_sne(x, perplexity):
         raise DomainError(f"perplexity must lie in [2, N-1] = [2, {n - 1}], got {perplexity!r}")
     target = float(perplexity)
     d2 = _finite(squared_distances(x))
-    off = ~np.eye(n, dtype=bool)
+    P = np.empty((n, n))
+    block = max(1, _BLOCK_FLOATS // n)
+    for start in range(0, n, block):
+        P[start:start + block] = _sne_block(d2[start:start + block], start, target)
+    return P
+
+
+def _sne_block(d2, start, target):
+    """supervisory_sne's rows start, start + 1, ... from their rows of d2."""
+    b, n = d2.shape
+    off = np.ones((b, n), dtype=bool)
+    off[np.arange(b), start + np.arange(b)] = False
 
     # bisection runs on beta = 1 / (2 sigma^2); exp-entropy decreases in beta
-    hi = np.ones(n)
-    _, f_lo = _row_stats(d2, np.zeros(n), off)
+    hi = np.ones(b)
+    _, f_lo = _row_stats(d2, np.zeros(b), off)
     _, f_hi = _row_stats(d2, hi, off)
     for _ in range(_BISECT_STEPS):
         if not np.all(np.isfinite(f_hi)):
             raise NumericalError(
                 "non-finite entropy during bandwidth search",
-                row=int(np.argmin(np.isfinite(f_hi))),
+                row=start + int(np.argmin(np.isfinite(f_hi))),
             )
         need = f_hi > target
         if not need.any():
@@ -265,7 +277,7 @@ def supervisory_sne(x, perplexity):
         if bad.any():
             raise NumericalError(
                 f"bandwidth bisection did not converge after {_BISECT_STEPS} doublings",
-                row=int(np.argmax(bad)),
+                row=start + int(np.argmax(bad)),
             )
     active = ~unreachable
     lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
@@ -283,7 +295,7 @@ def supervisory_sne(x, perplexity):
     if bad.any():
         raise NumericalError(
             f"bandwidth bisection did not reach perplexity {target} within {_PERPLEXITY_TOL}",
-            row=int(np.argmax(bad)),
+            row=start + int(np.argmax(bad)),
         )
     return P
 
