@@ -57,7 +57,7 @@ def _jsd(P, Q):
 
 def _hellinger(P, Q):
     d = np.sqrt(P) - np.sqrt(Q)
-    return 0.5 * (d * d).sum(axis=1), 0.5 * (1.0 - np.sqrt(P / np.maximum(Q, EPS)))
+    return 0.5 * np.square(d).sum(axis=1), 0.5 * (1.0 - np.sqrt(P / np.maximum(Q, EPS)))
 
 
 # kind tag -> (P, Q) -> (per-row values, dD/dQ), row-batched

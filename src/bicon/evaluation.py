@@ -249,7 +249,8 @@ def holdout_split(n, test_fraction=0.25, seed=0):
 
 def kmeans_labels(x, clusters, seed=0, iters=100):
     """Plain Lloyd's k-means labels; a sanity baseline, not a trainer.
-    Non-finite distances to the centers raise DomainError."""
+    Non-finite distances to the centers, or centers that overflow, raise
+    DomainError."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < clusters:
         raise DimensionError(f"cannot place {clusters} centers over shape {x.shape}")
@@ -264,12 +265,15 @@ def kmeans_labels(x, clusters, seed=0, iters=100):
         for c in range(clusters):
             mask = new_labels == c
             if mask.any():
-                centers[c] = x[mask].mean(axis=0)
+                # a mean of finite features can overflow; checked below
+                with np.errstate(over="ignore"):
+                    centers[c] = x[mask].mean(axis=0)
             else:
                 # re-seed an empty cluster on the point farthest from its center
                 worst = int(np.argmax(d2[np.arange(x.shape[0]), new_labels]))
                 centers[c] = x[worst]
                 new_labels[worst] = c
+        _finite(centers)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels

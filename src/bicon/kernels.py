@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import SIMPLEX_TOL, _xlogy
+from .divergences import SIMPLEX_TOL
 from .errors import DegenerateRowError, DimensionError, DomainError, NumericalError
 
 KERNEL_FAMILIES = ("angular", "distance")
@@ -70,8 +70,8 @@ def squared_distances(a, b=None, block=None):
     bt = at if b is a else np.ascontiguousarray(b.T)
     # one allocation of at least 9 * 2**15 floats (2.4 MB) at every width:
     # freeing a block this large raises glibc's dynamic mmap threshold, which
-    # keeps the N x N temporaries of supervisory_sne and the SNE step on the
-    # heap instead of mapping and faulting them in afresh on every call
+    # keeps the N x N temporaries of the SNE step on the heap instead of
+    # mapping and faulting them in afresh on every call
     shape = (min(block, n), m)
     tmp = np.empty(max(shape[0] * m, 9 * _BLOCK_FLOATS))[:shape[0] * m].reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -80,7 +80,7 @@ def squared_distances(a, b=None, block=None):
             for k in range(a.shape[1]):
                 into = tmp[:len(rows)] if k else rows
                 np.subtract(at[k, start:start + block, None], bt[k], out=into)
-                np.multiply(into, into, out=into)
+                np.square(into, out=into)
                 if k:
                     rows += into
     return out
@@ -212,26 +212,32 @@ def validate_distribution(mat):
     return m
 
 
-def _row_stats(d2, beta, off):
-    """Transition rows and exp(entropy) per row for bandwidths beta."""
-    t = np.where(off, -beta[:, None] * d2, -np.inf)
-    t = t - t.max(axis=1, keepdims=True)
-    w = np.exp(t)
-    P = w / w.sum(axis=1, keepdims=True)
-    return P, np.exp(-_xlogy(P, P).sum(axis=1))
-
-
 def supervisory_sne(x, perplexity):
     """Gaussian conditional neighbor rows with per-point bandwidths.
 
-    Row i is exp(-||x_i - x_j||^2 / (2 sigma_i^2)) normalized over j != i,
-    with sigma_i found by bisection so that exp(row entropy) matches the
-    requested perplexity within _PERPLEXITY_TOL. Rows are searched a block
-    at a time, about 2**15 / N rows per block. Rows whose entropy does
-    not depend on the bandwidth at all (mutually equidistant
-    neighborhoods) are accepted as-is; any other row that fails to
-    converge raises, carrying the row index; non-finite distances raise
-    DomainError.
+    Row i is exp(-beta_i ||x_i - x_j||^2) normalized over j != i, with
+    beta_i = 1 / (2 sigma_i^2) chosen so that exp(row entropy) matches
+    the requested perplexity within _PERPLEXITY_TOL. The one
+    squared_distances matrix is searched a block of rows at a time, about
+    2**15 / N rows per block, in a set of block buffers reused by every
+    step and block.
+
+    Each row is first scaled by the power of two that puts its largest
+    distance in [0.5, 1), and its search starts at the power of two
+    nearest 1 / (mean distance to the other points). While no beta has
+    overshot the perplexity, beta doubles; after that it is the midpoint
+    of the bracket [lo, hi) (lo starts at 0, so beta halves until it is
+    below the target). A row stops at the first step whose exp(entropy)
+    is within _PERPLEXITY_TOL of the target, and its row of P comes from
+    that step; a block ends when all its rows have stopped, or after
+    2 * _BISECT_STEPS steps. Every step multiplies by a power of two or
+    halves a sum of two, so scaling x by 2**k (short of overflow and
+    underflow) gives the same P bit for bit.
+
+    Rows whose entropy does not depend on beta (mutually equidistant
+    neighborhoods) are accepted as uniform; any other row that does not
+    converge raises NumericalError, carrying the row index; non-finite
+    distances raise DomainError.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 3:
@@ -243,61 +249,55 @@ def supervisory_sne(x, perplexity):
     d2 = _finite(squared_distances(x))
     P = np.empty((n, n))
     block = max(1, _BLOCK_FLOATS // n)
+    # scaled distances, exponents and weights of one block
+    buffers = np.empty((3, min(block, n), n))
     for start in range(0, n, block):
-        P[start:start + block] = _sne_block(d2[start:start + block], start, target)
+        _sne_block(d2[start:start + block], start, target, P[start:start + block], buffers)
     return P
 
 
-def _sne_block(d2, start, target):
-    """supervisory_sne's rows start, start + 1, ... from their rows of d2."""
+def _sne_block(d2, start, target, out, buffers):
+    """supervisory_sne's search for the rows start, start + 1, ... of P,
+    written into out, from their rows of d2."""
     b, n = d2.shape
-    off = np.ones((b, n), dtype=bool)
-    off[np.arange(b), start + np.arange(b)] = False
-
-    # bisection runs on beta = 1 / (2 sigma^2); exp-entropy decreases in beta
-    hi = np.ones(b)
-    _, f_lo = _row_stats(d2, np.zeros(b), off)
-    _, f_hi = _row_stats(d2, hi, off)
-    for _ in range(_BISECT_STEPS):
-        if not np.all(np.isfinite(f_hi)):
-            raise NumericalError(
-                "non-finite entropy during bandwidth search",
-                row=start + int(np.argmin(np.isfinite(f_hi))),
-            )
-        need = f_hi > target
-        if not need.any():
-            break
-        hi[need] *= 2.0
-        _, f_hi = _row_stats(d2, hi, off)
-
-    unreachable = f_hi > target
-    if unreachable.any():
-        flat = np.abs(f_hi - f_lo) <= _PERPLEXITY_TOL
-        bad = unreachable & ~flat
-        if bad.any():
-            raise NumericalError(
-                f"bandwidth bisection did not converge after {_BISECT_STEPS} doublings",
-                row=start + int(np.argmax(bad)),
-            )
-    active = ~unreachable
-    lo = np.where(hi > 1.0, 0.5 * hi, 0.0)
-
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        _, f_mid = _row_stats(d2, mid, off)
-        go_hi = f_mid >= target
-        lo = np.where(active & go_hi, mid, lo)
-        hi = np.where(active & ~go_hi, mid, hi)
-    beta = np.where(active, 0.5 * (lo + hi), hi)
-
-    P, f = _row_stats(d2, beta, off)
-    bad = active & (np.abs(f - target) > _PERPLEXITY_TOL)
-    if bad.any():
-        raise NumericalError(
-            f"bandwidth bisection did not reach perplexity {target} within {_PERPLEXITY_TOL}",
-            row=start + int(np.argmax(bad)),
-        )
-    return P
+    ds, t, w = buffers[:, :b]
+    diag = (np.arange(b), start + np.arange(b))
+    far, scale = np.frexp(d2.max(axis=1))
+    np.ldexp(d2, -scale[:, None], out=ds)
+    mean = ds.sum(axis=1) / (n - 1)
+    ds[diag] = np.inf
+    near = ds.min(axis=1)
+    # distances above the nearest one, so that every row's largest weight is exp(0) = 1
+    ds -= near[:, None]
+    ds[diag] = 0.0
+    flat = near == far
+    m, e = np.frexp(mean)
+    beta = np.ldexp(1.0, np.where(m > np.sqrt(0.5), -e, 1 - e))
+    lo = np.zeros(b)
+    hi = np.full(b, np.inf)
+    todo = np.ones(b, dtype=bool)
+    for _ in range(2 * _BISECT_STEPS):
+        np.multiply(ds, -beta[:, None], out=t)
+        np.exp(t, out=w)
+        w[diag] = 0.0
+        s = w.sum(axis=1)
+        # entropy of the row w / s: log s - sum(w t) / s
+        f = np.exp(np.log(s) - np.einsum("ij,ij->i", w, t) / s)
+        hit = todo & (flat | (np.abs(f - target) <= _PERPLEXITY_TOL))
+        out[hit] = w[hit] / s[hit, None]
+        todo &= ~hit
+        if not todo.any():
+            return
+        # exp-entropy falls as beta grows
+        up = f > target
+        lo = np.where(todo & up, beta, lo)
+        hi = np.where(todo & ~up, beta, hi)
+        beta = np.where(todo, np.where(hi == np.inf, 2.0 * beta, 0.5 * (lo + hi)), beta)
+    raise NumericalError(
+        f"bandwidth search did not reach perplexity {target} within {_PERPLEXITY_TOL} "
+        f"in {2 * _BISECT_STEPS} steps",
+        row=start + int(np.argmax(todo)),
+    )
 
 
 def supervisory_labels(labels):

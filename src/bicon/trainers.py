@@ -166,13 +166,12 @@ def loss_and_grad(divergence, p, q):
     gradient is scaled by 1/N; the diagonal of the gradient is forced to
     zero since diagonal entries are structural.
     """
-    return _loss_and_grad(divergence, validate_distribution(p), q)
+    return _loss_and_grad(divergence, validate_distribution(p), validate_distribution(q))
 
 
 def _loss_and_grad(divergence, p, q):
-    """loss_and_grad for a p already validated where it was built; q is
-    still validated."""
-    q = validate_distribution(q)
+    """loss_and_grad for p and q that are valid where they were built:
+    neither is checked here."""
     if p.shape != q.shape:
         raise DimensionError(f"p and q shapes differ: {p.shape} vs {q.shape}")
     values, g = divergence_rows(divergence, p, q)
@@ -183,8 +182,9 @@ def _loss_and_grad(divergence, p, q):
 
 
 # The assemblies below run each forward pass once and hand its results to
-# the backward pass. p must be a valid transition matrix: the engines
-# validate it once, where they build it, not on every step.
+# the backward pass. p and q must be valid transition matrices: their
+# builders make them so (property tests check each builder on random
+# shapes), and run_sne validates its one p per run, not on every step.
 
 
 def sne_free_value_and_grads(divergence, p, table, spec):
@@ -216,7 +216,7 @@ def cluster_value_and_grads(divergence, p, head, x):
 def _train(cfg, model, batches, objective, evaluate):
     """The training loop of every engine.
 
-    Each epoch, batches() yields (p, inputs) pairs, p already validated;
+    Each epoch, batches() yields (p, inputs) pairs, p valid by construction;
     objective(p, inputs) returns the loss and the gradient of each of
     model.params(), and Adam takes one step. evaluate() gives the metric
     dict snapshotted after every eval_every-th epoch and the last.
@@ -356,7 +356,7 @@ def run_cluster(config, x, labels=None):
         for start in range(0, x.shape[0], cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
             if batch.shape[0] >= 4:
-                yield validate_distribution(_sub_rows(nbrs, batch, pos)), x[batch]
+                yield _sub_rows(nbrs, batch, pos), x[batch]
 
     def evaluate():
         if labels is None:
@@ -428,7 +428,7 @@ def run_supcon(config, x, labels):
 
     def batches():
         for batch in _balanced_batches(train_idx, y, cfg.batch_size, shuffle_rng):
-            yield validate_distribution(supervisory_labels(y[batch])), x[batch]
+            yield supervisory_labels(y[batch]), x[batch]
 
     def evaluate():
         z = forward(encoder, x)

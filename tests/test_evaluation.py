@@ -325,3 +325,10 @@ class TestKmeans:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="squared norms and distances are finite"):
                 kmeans_labels(x, 3)
+
+    def test_overflowing_centers_rejected(self):
+        # all distances are 0 and finite, but the mean of 1e308s overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="squared norms and distances are finite"):
+                kmeans_labels(np.full((4, 2), 1e308), 2)

@@ -20,9 +20,12 @@ from bicon import (
     supervisory_sne,
 )
 from bicon import kernels
-from bicon.errors import DegenerateRowError, DimensionError, DomainError
+from bicon.errors import DegenerateRowError, DimensionError, DomainError, NumericalError
 from bicon.evaluation import knn_accuracy
 from bicon.kernels import (
+    _BLOCK_FLOATS,
+    _PERPLEXITY_TOL,
+    _cluster_transition,
     _knn,
     _nearest,
     cluster_transition_grad,
@@ -212,6 +215,52 @@ class TestSupervisorySne:
                 supervisory_sne(x, 4.0)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40), st.integers(1, 5),
+           st.floats(0.0, 1.0), st.integers(-40, 40))
+    def test_power_of_two_scaling_is_exact(self, seed, n, d, frac, k):
+        # the search scales each row by a power of two and only doubles or
+        # halves beta from there, so x * 2**k runs the same arithmetic
+        x = np.random.default_rng(seed).normal(size=(n, d))
+        perplexity = 2.0 + frac * (n - 3)
+        assert np.array_equal(supervisory_sne(x * 2.0 ** k, perplexity), supervisory_sne(x, perplexity))
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e9])
+    def test_far_from_unit_scale_converges(self, scale):
+        x = np.random.default_rng(24).normal(size=(40, 3)) * scale
+        P = supervisory_sne(x, 5.0)
+        validate_distribution(P)
+        assert np.max(np.abs(np.exp(row_entropy(P)) - 5.0)) <= 1.01 * _PERPLEXITY_TOL
+
+    @pytest.mark.parametrize("x, perplexity", [
+        (np.eye(4) * 1e150, 2.5),
+        # squared distances near 1e-320 are subnormal
+        (np.random.default_rng(25).normal(size=(40, 3)) * 1e-160, 5.0),
+    ])
+    def test_extreme_distances_without_warnings(self, x, perplexity):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                P = supervisory_sne(x, perplexity)
+            except DomainError:
+                return
+        validate_distribution(P)
+        n = len(x)
+        uniform = np.all((P == 1.0 / (n - 1)) | np.eye(n, dtype=bool), axis=1)
+        assert np.all(uniform | (np.abs(np.exp(row_entropy(P)) - perplexity) <= 1.01 * _PERPLEXITY_TOL))
+
+    def test_unreachable_row_in_a_later_block_named(self):
+        n = 200
+        assert _BLOCK_FLOATS // n < 170
+        x = np.random.default_rng(26).uniform(-100.0, 100.0, size=(n, 2))
+        # point 170 has four nearest neighbors at one distance, so its
+        # exp(entropy) never falls below 4; it is not equidistant from all
+        x[170:175] = 500.0 + np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        with pytest.raises(NumericalError) as info:
+            supervisory_sne(x, 2.0)
+        assert info.value.row == 170
+
+
 class TestSupervisoryLabels:
     def test_one_positive_partner(self):
         P = supervisory_labels([0, 0, 1, 1])
@@ -379,6 +428,60 @@ class TestGeometricInvariances:
         d2 = squared_distances(x, block=64)
         direct = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
         np.testing.assert_allclose(d2, direct, atol=1e-9)
+
+
+@st.composite
+def point_sets(draw, min_n=2):
+    """Normal points, 2 to 30 of width 1 to 6; some draws round them to
+    integers, which makes duplicate points and distance ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    x = rng.normal(size=(draw(st.integers(min_n, 30)), draw(st.integers(1, 6))))
+    return np.round(x) if draw(st.booleans()) else x
+
+
+class TestBuildersGiveTransitionRows:
+    """Every row builder's output passes validate_distribution, so the
+    training steps need not check it again."""
+
+    @pytest.mark.parametrize("family", ["distance", "angular"])
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(), st.floats(0.1, 20.0))
+    def test_learned_rows(self, family, x, scale):
+        if family == "angular":
+            x = x + (np.linalg.norm(x, axis=1, keepdims=True) == 0.0)
+        validate_distribution(learned_rows(x, KernelSpec(family, scale)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(), st.integers(1, 6), st.floats(0.1, 10.0))
+    def test_cluster_transition(self, x, c, temperature):
+        logits = x[:, :1] * np.arange(1, c + 1) / temperature
+        phi = np.exp(logits - logits.max(axis=1, keepdims=True))
+        phi /= phi.sum(axis=1, keepdims=True)
+        validate_distribution(_cluster_transition(phi)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(0, 20))
+    def test_supervisory_labels(self, seed, classes, extra):
+        rng = np.random.default_rng(seed)
+        labels = np.concatenate([np.arange(classes)] * 2 + [rng.integers(0, classes, extra)])
+        validate_distribution(supervisory_labels(rng.permutation(labels)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(min_n=3), st.floats(0.0, 1.0))
+    def test_supervisory_sne(self, x, frac):
+        perplexity = 2.0 + frac * (x.shape[0] - 3)
+        try:
+            P = supervisory_sne(x, perplexity)
+        except NumericalError:
+            # rounded points can have more tied nearest neighbors than the
+            # perplexity: no bandwidth reaches it
+            return
+        validate_distribution(P)
+
+    @settings(max_examples=100, deadline=None)
+    @given(point_sets(), st.floats(0.0, 1.0))
+    def test_supervisory_knn(self, x, frac):
+        validate_distribution(supervisory_knn(x, 1 + int(frac * (x.shape[0] - 2))))
 
 
 @st.composite

@@ -27,6 +27,7 @@ from bicon.kernels import (
     supervisory_knn,
     supervisory_labels,
     supervisory_sne,
+    validate_distribution,
 )
 from bicon.model import ClusterHead, Encoder, backward, forward, head_backward, head_forward
 from bicon.trainers import (
@@ -400,6 +401,16 @@ class TestSubRows:
         for idx in batches:
             assert np.array_equal(_sub_rows(nbrs, idx, pos), dense_sub_rows(p, idx))
             assert np.all(pos == -1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(knn_batches())
+    def test_rows_are_transition_rows(self, inst):
+        # run_cluster trains on these rows without checking them
+        x, k, batches = inst
+        nbrs = _knn_graph(x, k)
+        pos = np.full(x.shape[0], -1, dtype=np.intp)
+        for idx in batches:
+            validate_distribution(_sub_rows(nbrs, idx, pos))
 
 
 class TestRunSupcon:
