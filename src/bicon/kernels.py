@@ -21,7 +21,7 @@ KERNEL_FAMILIES = ("angular", "distance")
 
 _UNIT_TOL = 1e-9
 
-# supervisory_sne: steps per search phase, and the tolerance on exp(row entropy)
+# supervisory_sne: half the steps a block may take, and the tolerance on exp(row entropy)
 _BISECT_STEPS = 64
 _PERPLEXITY_TOL = 1e-4
 
@@ -222,17 +222,17 @@ def supervisory_sne(x, perplexity):
     2**15 / N rows per block, in a set of block buffers reused by every
     step and block.
 
-    Each row is first scaled by the power of two that puts its largest
-    distance in [0.5, 1), and its search starts at the power of two
-    nearest 1 / (mean distance to the other points). While no beta has
-    overshot the perplexity, beta doubles; after that it is the midpoint
-    of the bracket [lo, hi) (lo starts at 0, so beta halves until it is
-    below the target). A row stops at the first step whose exp(entropy)
-    is within _PERPLEXITY_TOL of the target, and its row of P comes from
-    that step; a block ends when all its rows have stopped, or after
-    2 * _BISECT_STEPS steps. Every step multiplies by a power of two or
-    halves a sum of two, so scaling x by 2**k (short of overflow and
-    underflow) gives the same P bit for bit.
+    Each row's distances are first scaled by the power of two that puts
+    the largest in [0.5, 1), and beta, in those units, starts at the
+    power of two nearest 1 / (mean distance to the other points). While
+    no beta has overshot the perplexity, beta doubles; after that it is
+    the midpoint of the bracket [lo, hi) (lo starts at 0, so beta halves
+    until it undershoots). A row stops at the first step whose
+    exp(entropy) is within _PERPLEXITY_TOL of the target, and its row of
+    P comes from that step; a block ends when all its rows have stopped,
+    or after 2 * _BISECT_STEPS steps. Scaling x by 2**k (short of
+    overflow and underflow) leaves the scaled distances as they are, so
+    it gives the same P bit for bit.
 
     Rows whose entropy does not depend on beta (mutually equidistant
     neighborhoods) are accepted as uniform; any other row that does not
