@@ -7,11 +7,12 @@ floored at ``EPS`` before logs, roots and divisions, so values stay
 finite as q -> 0 while KL keeps its blow-up behaviour in that limit.
 
 Each kind is one function of row-aligned matrices that returns the
-per-row values and the derivative in Q together, sharing what the two
-have in common. ``divergence_rows`` calls it without simplex validation;
-it is the hot path for the trainers and for finite-difference probes,
-which deliberately step off the simplex. The scalar entry points
-validate their inputs.
+per-row values and writes the derivative in Q into a buffer the caller
+gives it, sharing what the two have in common; the SNE and supcon steps
+run it on their blocks of rows. ``divergence_rows`` calls it without
+simplex validation, in buffers of its own; it serves the cluster step
+and finite-difference probes, which deliberately step off the simplex.
+The scalar entry points validate their inputs.
 """
 
 from __future__ import annotations
@@ -29,38 +30,58 @@ def _as_rows(p):
     return p.reshape(1, -1) if p.ndim == 1 else p
 
 
-def _xlogy(x, ratio):
-    """x * log(ratio), and 0 wherever x <= 0: the 0*log(0) = 0 convention."""
+def _xlogy(x, ratio, out):
+    """out = x * log(ratio), and 0 wherever x <= 0: the 0*log(0) = 0 convention."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = x * np.log(ratio)
-    terms[x <= 0.0] = 0.0
-    return terms
+        np.log(ratio, out=out)
+        out *= x
+    out[x <= 0.0] = 0.0
+    return out
 
 
-def _kl(P, Q):
-    ratio = P / np.maximum(Q, EPS)
-    return _xlogy(P, ratio).sum(axis=1), -ratio
+def _kl(P, Q, out, tmp):
+    ratio = np.divide(P, np.maximum(Q, EPS, out=out), out=out)
+    values = _xlogy(P, ratio, tmp).sum(axis=1)
+    np.negative(ratio, out=out)
+    return values
 
 
-def _tv(P, Q):
-    diff = Q - P
-    # sign(0) = 0 keeps p = q stationary
-    return 0.5 * np.abs(diff).sum(axis=1), 0.5 * np.sign(diff)
+def _tv(P, Q, out, tmp):
+    diff = np.subtract(Q, P, out=tmp)
+    # sign(0) = 0 keeps p = q stationary; numpy's sign is far slower in place
+    np.sign(diff, out=out)
+    out *= 0.5
+    return 0.5 * np.abs(diff, out=diff).sum(axis=1)
 
 
-def _jsd(P, Q):
-    Mf = np.maximum(0.5 * (P + Q), EPS)
-    value = 0.5 * (_xlogy(P, P / Mf).sum(axis=1) + _xlogy(Q, Q / Mf).sum(axis=1))
-    Qf = np.maximum(Q, EPS)
-    return value, 0.5 * np.log(2.0 * Qf / (P + Qf))
+def _jsd(P, Q, out, tmp):
+    Mf = np.add(P, Q, out=out)
+    Mf *= 0.5
+    np.maximum(Mf, EPS, out=Mf)
+    vp = _xlogy(P, np.divide(P, Mf, out=tmp), tmp).sum(axis=1)
+    vq = _xlogy(Q, np.divide(Q, Mf, out=tmp), tmp).sum(axis=1)
+    Qf = np.maximum(Q, EPS, out=out)
+    denom = np.add(P, Qf, out=tmp)
+    # 0.5 * log(2 Qf / (P + Qf))
+    Qf *= 2.0
+    np.log(np.divide(Qf, denom, out=out), out=out)
+    out *= 0.5
+    return 0.5 * (vp + vq)
 
 
-def _hellinger(P, Q):
-    d = np.sqrt(P) - np.sqrt(Q)
-    return 0.5 * np.square(d).sum(axis=1), 0.5 * (1.0 - np.sqrt(P / np.maximum(Q, EPS)))
+def _hellinger(P, Q, out, tmp):
+    d = np.sqrt(P, out=tmp)
+    d -= np.sqrt(Q, out=out)
+    values = 0.5 * np.square(d, out=d).sum(axis=1)
+    np.sqrt(np.divide(P, np.maximum(Q, EPS, out=out), out=out), out=out)
+    np.subtract(1.0, out, out=out)
+    out *= 0.5
+    return values
 
 
-# kind tag -> (P, Q) -> (per-row values, dD/dQ), row-batched
+# kind tag -> (P, Q, out, tmp) -> per-row values, row-batched, with dD/dQ
+# written into out; tmp is scratch of P's shape. Each is one formula in
+# place: the same operations, in the same order, as out-of-place numpy.
 DIVERGENCES = {"KL": _kl, "TV": _tv, "JSD": _jsd, "Hellinger": _hellinger}
 
 KINDS = tuple(DIVERGENCES)
@@ -94,7 +115,8 @@ def divergence_rows(kind, P, Q):
     Q = _as_rows(Q)
     if P.ndim != 2 or P.shape != Q.shape:
         raise DimensionError(f"expected row matrices of one shape, got {P.shape} and {Q.shape}")
-    return DIVERGENCES[kind](P, Q)
+    grads = np.empty(P.shape)
+    return DIVERGENCES[kind](P, Q, grads, np.empty(P.shape)), grads
 
 
 def _validated_pair(kind, p, q):
@@ -104,7 +126,7 @@ def _validated_pair(kind, p, q):
     q = validate_probability_vector(q, "q")
     if p.shape != q.shape:
         raise DimensionError(f"p and q lengths differ: {p.shape[0]} vs {q.shape[0]}")
-    values, grads = DIVERGENCES[kind](p.reshape(1, -1), q.reshape(1, -1))
+    values, grads = divergence_rows(kind, p, q)
     return float(values[0]), grads[0]
 
 

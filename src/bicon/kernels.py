@@ -28,6 +28,9 @@ _PERPLEXITY_TOL = 1e-4
 # floats per squared_distances buffer: a block of rows times len(b)
 _BLOCK_FLOATS = 1 << 15
 
+# floats per buffer of _kernel_rows_pass: a block of rows times N
+_STEP_FLOATS = 1 << 18
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -60,8 +63,6 @@ def squared_distances(a, b=None, block=None):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError(f"expected row matrices with equal widths, got {a.shape} and {b.shape}")
     n, m = a.shape[0], b.shape[0]
-    if a.shape[1] == 0:
-        return np.zeros((n, m))
     if block is None:
         block = max(1, _BLOCK_FLOATS // max(m, 1))
     out = np.empty((n, m))
@@ -69,20 +70,50 @@ def squared_distances(a, b=None, block=None):
     at = np.ascontiguousarray(a.T)
     bt = at if b is a else np.ascontiguousarray(b.T)
     # one allocation of at least 9 * 2**15 floats (2.4 MB) at every width:
-    # freeing a block this large raises glibc's dynamic mmap threshold, which
-    # keeps the N x N temporaries of the SNE step on the heap instead of
-    # mapping and faulting them in afresh on every call
+    # freeing a block this large raises glibc's dynamic mmap threshold past
+    # it, which keeps later temporaries up to that size on the heap instead
+    # of mapping and faulting them in afresh on every call. The cluster
+    # step's batch x batch arrays (512 KB at batch_size 256) still rely on
+    # it; the SNE and supcon steps write into buffers allocated once per run.
     shape = (min(block, n), m)
     tmp = np.empty(max(shape[0] * m, 9 * _BLOCK_FLOATS))[:shape[0] * m].reshape(shape)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, block):
             rows = out[start:start + block]
-            for k in range(a.shape[1]):
-                into = tmp[:len(rows)] if k else rows
-                np.subtract(at[k, start:start + block, None], bt[k], out=into)
-                np.square(into, out=into)
-                if k:
-                    rows += into
+            _add_squares(at[:, start:start + block], bt, rows, tmp[:len(rows)])
+    return out
+
+
+def _add_squares(at, bt, out, tmp):
+    """out[i, j] = (at[0, i] - bt[0, j]) ** 2 + (at[1, i] - bt[1, j]) ** 2
+    + ..., added left to right, with tmp as scratch of out's shape: the
+    one distance kernel, which squared_distances and _kernel_rows_pass
+    run on their blocks of rows. at and bt hold one coordinate per row.
+    """
+    if not len(at):
+        out.fill(0.0)
+    for k in range(len(at)):
+        into = tmp if k else out
+        np.subtract(at[k, :, None], bt[k], out=into)
+        np.square(into, out=into)
+        if k:
+            out += into
+
+
+def _block_scores(yt, start, spec, out, tmp):
+    """Rows start, start + 1, ... of similarity_matrix(y, spec) into out,
+    from yt = y.T, made contiguous; tmp is scratch of out's shape.
+    Overflow is left for _softmax_rows' check of the scores."""
+    rows = yt[:, start:start + len(out)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.family == "angular":
+            # einsum adds the products coordinate by coordinate, not in
+            # BLAS blocks, so no entry's bits depend on the rows computed with it
+            np.einsum("ki,kj->ij", rows, yt, out=out)
+            out *= spec.scale
+        else:
+            _add_squares(rows, yt, out, tmp)
+            out *= -spec.scale
     return out
 
 
@@ -102,6 +133,8 @@ def similarity_matrix(z, spec):
 
     angular: C * (z_i . z_j), rows must already be unit norm.
     distance: C * (-||z_i - z_j||^2).
+    Each entry adds its coordinates' products or squared differences
+    left to right, so a block of rows gets the same bits on its own.
 
     Diagonal entries are computed but carry no meaning; every consumer
     excludes them.
@@ -115,8 +148,8 @@ def similarity_matrix(z, spec):
         norms = np.sqrt(np.sum(z * z, axis=1))
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise DomainError("angular kernel requires unit-norm rows (within 1e-9)")
-        return spec.scale * (z @ z.T)
-    return -spec.scale * squared_distances(z)
+    n = z.shape[0]
+    return _block_scores(np.ascontiguousarray(z.T), 0, spec, np.empty((n, n)), np.empty((n, n)))
 
 
 def kernel_rows(scores):
@@ -128,25 +161,30 @@ def kernel_rows(scores):
     s = np.asarray(scores, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise DimensionError(f"expected a square score matrix, got shape {s.shape}")
-    n = s.shape[0]
-    if n < 2:
+    if s.shape[0] < 2:
         raise DimensionError("need at least 2 points for transition rows")
     # one n x n buffer, updated in place: scores, shifted scores, weights, rows
-    w = s.copy()
-    np.fill_diagonal(w, 0.0)
+    return _softmax_rows(s.copy(), 0)
+
+
+def _softmax_rows(w, start):
+    """kernel_rows in place, for the score rows start, start + 1, ... of a
+    square matrix; each row's entry start + i is its diagonal."""
+    diag = (np.arange(len(w)), start + np.arange(len(w)))
+    w[diag] = 0.0
     if not np.all(np.isfinite(w)):
         raise DomainError("off-diagonal scores contain non-finite entries")
-    np.fill_diagonal(w, -np.inf)
+    w[diag] = -np.inf
     w -= w.max(axis=1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     return w
 
 
-def softmax_rows_grad(q, dL_dq):
-    """Pull a gradient in the transition rows back to the scores."""
-    inner = np.sum(dL_dq * q, axis=1, keepdims=True)
-    out = dL_dq - inner
+def softmax_rows_grad(q, dL_dq, out=None):
+    """Pull a gradient in the transition rows back to the scores, into out
+    if given (which may be dL_dq itself)."""
+    out = np.subtract(dL_dq, np.einsum("ij,ij->i", dL_dq, q)[:, None], out=out)
     out *= q
     return out
 
@@ -158,8 +196,8 @@ def kernel_rows_grad(z, spec, dL_dq):
     angular family z is the raw (unnormalized) embedding; the unit-sphere
     normalization consumed by similarity_matrix is part of the chain, so
     the returned gradient includes the tangent-space projection. Runs
-    learned_rows(z, spec) and then the same backward pass that the
-    training steps apply to their own forward rows.
+    _kernel_rows_pass, the one backward of the training steps, with each
+    block of dL_dq's rows copied into the pass's buffers.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(dL_dq, dtype=float)
@@ -167,21 +205,64 @@ def kernel_rows_grad(z, spec, dL_dq):
         raise DimensionError(f"shape mismatch: z {z.shape}, dL_dq {g.shape}")
     if np.any(np.diagonal(g) != 0.0):
         raise DomainError("dL_dq must be zero on the diagonal")
-    return _kernel_rows_backward(z, spec, learned_rows(z, spec), g)
+    copy_rows = lambda start, q, out, tmp: np.copyto(out, g[start:start + len(out)])
+    return _kernel_rows_pass(z, spec, copy_rows)
 
 
-def _kernel_rows_backward(z, spec, q, dL_dq):
-    """kernel_rows_grad given q = learned_rows(z, spec) from the forward pass."""
-    t = softmax_rows_grad(q, dL_dq)
-    s = t + t.T
-    if spec.family == "angular":
+def _kernel_rows_buffers(n):
+    """The buffers of _kernel_rows_pass over n points: the q, dL/dq and
+    scratch rows of one block of min(n, 2**18 // n) rows (at least 1)."""
+    return np.empty((3, max(1, min(n, _STEP_FLOATS // n)), n))
+
+
+def _kernel_rows_pass(z, spec, fill, buffers=None):
+    """Gradient in z of a loss of q = learned_rows(z, spec), given the
+    loss's gradient in q one block of rows at a time, with no N x N array:
+    buffers (allocated here if None) are _kernel_rows_buffers(N).
+
+    Each block of rows [a, b) is built in place in the buffers: its scores
+    and softmax rows q, bit for bit learned_rows(z, spec)[a:b]; then
+    fill(a, q, g, tmp) writes the loss's gradient in those rows into g
+    (tmp is scratch); then g becomes the softmax backward
+    t = (g - sum(g q)) q. q's diagonal is exactly 0, so g's diagonal, if
+    finite, changes no value of the result. The scores' gradient
+    s = t + t.T is never built: s @ [y, 1] = t @ [y, 1] + t.T @ [y, 1]
+    (y = z, or the unit rows for the angular family) is summed block by
+    block, so the result differs from one through s in the last bits; q
+    does not.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 2 or z.shape[0] < 2:
+        raise DimensionError(f"expected an N x d matrix with N >= 2, got shape {z.shape}")
+    angular = spec.family == "angular"
+    y = normalize_rows(z) if angular else z
+    if not np.all(np.isfinite(y)):
+        raise DomainError("embedding contains non-finite entries")
+    n = z.shape[0]
+    if buffers is None:
+        buffers = _kernel_rows_buffers(n)
+    yt = np.ascontiguousarray(y.T)
+    # [y, 1]: each product gives t @ y (or t.T @ y) and t's row (or column) sums
+    y1 = np.ones((n, y.shape[1] + 1))
+    y1[:, :-1] = y
+    sy = np.empty(y1.shape)
+    syt = np.zeros(y1.shape)
+    for a in range(0, n, buffers.shape[1]):
+        b = min(a + buffers.shape[1], n)
+        q, g, tmp = buffers[:, :b - a]
+        _softmax_rows(_block_scores(yt, a, spec, q, tmp), a)
+        fill(a, q, g, tmp)
+        softmax_rows_grad(q, g, out=g)
+        np.matmul(g, y1, out=sy[a:b])
+        syt += g.T @ y1[a:b]
+    sy += syt
+    if angular:
         norms = np.sqrt(np.sum(z * z, axis=1, keepdims=True))
-        u = z / norms
-        du = spec.scale * (s @ u)
+        du = spec.scale * sy[:, :-1]
         # project onto the tangent space of the unit sphere, undo the scaling
-        return (du - np.sum(du * u, axis=1, keepdims=True) * u) / norms
+        return (du - np.sum(du * y, axis=1, keepdims=True) * y) / norms
     # d score_ij / d z_i = -2C (z_i - z_j)
-    return -2.0 * spec.scale * (s.sum(axis=1, keepdims=True) * z - s @ z)
+    return -2.0 * spec.scale * (sy[:, -1:] * z - sy[:, :-1])
 
 
 def learned_rows(z, spec):

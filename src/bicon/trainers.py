@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .divergences import KINDS, divergence_rows
+from .divergences import DIVERGENCES, KINDS, _check_kind, divergence_rows
 from .errors import ConfigError, DimensionError, DomainError, NumericalError, check_field_types
 from .evaluation import holdout_split, hungarian_accuracy, knn_accuracy, silhouette
 from .kernels import (
@@ -27,9 +27,10 @@ from .kernels import (
     KernelSpec,
     _cluster_transition,
     _cluster_transition_backward,
-    _kernel_rows_backward,
+    _kernel_rows_buffers,
+    _kernel_rows_pass,
     _knn_graph,
-    learned_rows,
+    learned_rows,  # noqa: F401 -- perfbench's tracer test patches and reads trainers.learned_rows
     supervisory_labels,
     supervisory_sne,
     validate_distribution,
@@ -185,20 +186,42 @@ def _loss_and_grad(divergence, p, q):
 # the backward pass. p and q must be valid transition matrices: their
 # builders make them so (property tests check each builder on random
 # shapes), and run_sne validates its one p per run, not on every step.
+# buffers are _kernel_rows_buffers(N), allocated once per run; None
+# allocates them per call.
 
 
-def sne_free_value_and_grads(divergence, p, table, spec):
-    q = learned_rows(table, spec)
-    loss, dq = _loss_and_grad(divergence, p, q)
-    return loss, {"embedding": _kernel_rows_backward(table, spec, q, dq)}
+def _kernel_loss_and_grad(divergence, p, z, spec, buffers):
+    """_loss_and_grad of p and learned_rows(z, spec), pulled back to z in
+    one _kernel_rows_pass, which gets each block's rows of dD/dQ / N
+    (their diagonal, finite since p's is 0, left as it is)."""
+    _check_kind(divergence)
+    n = z.shape[0]
+    if p.shape != (n, n):
+        raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
+    kind = DIVERGENCES[divergence]
+    values = np.empty(n)
+
+    def fill(start, q, g, tmp):
+        values[start:start + len(q)] = kind(p[start:start + len(q)], q, g, tmp)
+        g /= n
+
+    dz = _kernel_rows_pass(z, spec, fill, buffers)
+    return float(values.mean()), dz
 
 
-def encoder_value_and_grads(divergence, p, encoder, x, spec):
+def sne_free_value_and_grads(divergence, p, table, spec, buffers=None):
+    """Loss and embedding gradient of a free SNE step: one kernel-rows
+    pass, the backward kernel_rows_grad runs, with no N x N temporary."""
+    loss, dz = _kernel_loss_and_grad(divergence, p, table, spec, buffers)
+    return loss, {"embedding": dz}
+
+
+def encoder_value_and_grads(divergence, p, encoder, x, spec, buffers=None):
+    """Loss and parameter gradients of an encoder step (parametric SNE,
+    supcon): the encoder's forward, one kernel-rows pass, its backward."""
     x = np.asarray(x, dtype=float)
     z, h = _forward(encoder, x)
-    q = learned_rows(z, spec)
-    loss, dq = _loss_and_grad(divergence, p, q)
-    dz = _kernel_rows_backward(z, spec, q, dq)
+    loss, dz = _kernel_loss_and_grad(divergence, p, z, spec, buffers)
     grads, _ = _backward(encoder, x, h, dz)
     return loss, grads
 
@@ -283,7 +306,7 @@ def run_sne(config, x, labels=None):
     cfg.mode 'free' trains one row per point (initialized from x itself
     when x already has out_dim columns); 'parametric' trains an encoder.
     Supervisory rows are computed and validated once; each epoch is one
-    Adam step.
+    Adam step, whose kernel-rows pass works in buffers allocated once here.
     """
     cfg = resolve_config(config)
     if cfg.task != "sne":
@@ -291,17 +314,18 @@ def run_sne(config, x, labels=None):
     x = np.asarray(x, dtype=float)
     p = validate_distribution(supervisory_sne(x, cfg.perplexity))
     spec = KernelSpec(cfg.kernel, cfg.scale)
+    buffers = _kernel_rows_buffers(x.shape[0])
     rng = np.random.default_rng([cfg.seed, 1])
     if cfg.mode == "free":
         if x.shape[1] == cfg.out_dim:
             model = FreeEmbedding(x.copy())
         else:
             model = FreeEmbedding.init(x.shape[0], cfg.out_dim, rng, scale=cfg.init_scale)
-        objective = lambda p, _: sne_free_value_and_grads(cfg.divergence, p, model.table, spec)
+        objective = lambda p, _: sne_free_value_and_grads(cfg.divergence, p, model.table, spec, buffers)
         embed = lambda: model.table
     else:
         model = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
-        objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, model, xb, spec)
+        objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, model, xb, spec, buffers)
         embed = lambda: forward(model, x)
     evaluate = lambda: _embedding_metrics(embed(), labels, cfg.seed)
     report = _train(cfg, model, lambda: [(p, x)], objective, evaluate)
@@ -434,7 +458,9 @@ def run_supcon(config, x, labels):
         z = forward(encoder, x)
         return {"knn": knn_accuracy(z[train_idx], y[train_idx], z[test_idx], y[test_idx], k=7)}
 
-    objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, encoder, xb, spec)
+    # every balanced batch has batch_size rows
+    buffers = _kernel_rows_buffers(cfg.batch_size)
+    objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, encoder, xb, spec, buffers)
     report = _train(cfg, encoder, batches, objective, evaluate)
     chance = 1.0 / np.unique(y).shape[0]
     knn = [metrics["knn"] for _, metrics in report.snapshots]

@@ -354,6 +354,22 @@ class TestSweep:
         assert main(base + ["--out", str(out_par), "--jobs", "2"]) == EXIT_OK
         assert (out_seq / "sweep.csv").read_bytes() == (out_par / "sweep.csv").read_bytes()
 
+    @pytest.mark.parametrize("task, config, sweep, cells", [
+        ("sne", sne_config(), "divergence=KL,TV,JSD,Hellinger", 4),
+        ("supcon", supcon_config(), "kernel=distance,angular", 2),
+    ])
+    def test_two_jobs_write_the_bytes_of_one(self, tmp_path, task, config, sweep, cells):
+        # each run owns its step buffers; cells sharing any would diverge under two threads
+        cfg = write_json(tmp_path / "cfg.json", config)
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            assert main(["run", task, "--config", cfg, "--sweep", sweep, "--out", str(out),
+                         "--jobs", jobs]) == EXIT_OK
+        files = sorted(path.relative_to(outs["1"]) for path in outs["1"].rglob("*.csv"))
+        assert len(files) == 1 + 2 * cells
+        for name in files:
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
     def test_unknown_sweep_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", sne_config())
         rc = main([

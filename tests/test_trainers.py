@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bicon import (
@@ -24,6 +24,7 @@ from bicon.kernels import (
     cluster_transition_grad,
     kernel_rows_grad,
     learned_rows,
+    softmax_rows_grad,
     supervisory_knn,
     supervisory_labels,
     supervisory_sne,
@@ -179,6 +180,104 @@ class TestFusedAssemblies:
             assert np.array_equal(grads[name], want[name]), name
 
 
+def dense_step(divergence, p, z, spec):
+    """Loss, q and embedding gradient of one step built through N x N
+    arrays: learned_rows, loss_and_grad, the softmax backward t and
+    s = t + t.T. The reference for the row-blocked pass."""
+    q = learned_rows(z, spec)
+    loss, g = loss_and_grad(divergence, p, q)
+    # the pass's own t, so that only blocking and the split of s can differ:
+    # where the softmax saturates, t is a cancellation whose last bits depend
+    # on how the row sum of g q is taken
+    t = softmax_rows_grad(q, g)
+    s = t + t.T
+    if spec.family == "angular":
+        norms = np.sqrt(np.sum(z * z, axis=1, keepdims=True))
+        u = z / norms
+        du = spec.scale * (s @ u)
+        return loss, q, (du - np.sum(du * u, axis=1, keepdims=True) * u) / norms
+    return loss, q, -2.0 * spec.scale * (s.sum(axis=1, keepdims=True) * z - s @ z)
+
+
+def step_instance(n, d, sparse, seed, scale=None):
+    """A target p (k-nearest-neighbour rows, with zeros, or dense softmax
+    rows) and an embedding z of n points in d dimensions, whose entries
+    have standard deviation scale (by default 0.3, 1 or 3)."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    p = supervisory_knn(x, max(1, n // 3)) if sparse else learned_rows(x, KernelSpec("distance", 1.0))
+    return p, rng.normal(size=(n, d)) * (scale or rng.choice([0.3, 1.0, 3.0]))
+
+
+class TestBlockedStep:
+    """The step's one row-blocked pass, with the block shrunk to a few rows
+    so that several blocks, the last one shorter, cover the points; at the
+    fixture sizes one block holds every row."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(3, 80), d=st.integers(1, 4), block=st.integers(2, 7),
+           family=st.sampled_from(["distance", "angular"]), div=st.sampled_from(DIVS),
+           sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_reference(self, n, d, block, family, div, sparse, seed):
+        import bicon.kernels
+        import bicon.trainers
+
+        assume(n % block)
+        p, z = step_instance(n, d, sparse, seed)
+        spec = KernelSpec(family, 2.5)
+        seen = np.full((n, n), np.nan)
+        blocks = []
+        real_pass = bicon.trainers._kernel_rows_pass
+
+        def recording(z, spec, fill, buffers=None):
+            def fill_and_record(start, q, g, tmp):
+                seen[start:start + len(q)] = q
+                blocks.append(len(q))
+                fill(start, q, g, tmp)
+            return real_pass(z, spec, fill_and_record, buffers)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
+            mp.setattr(bicon.trainers, "_kernel_rows_pass", recording)
+            loss, grads = sne_free_value_and_grads(div, p, z, spec)
+        assert blocks == [block] * (n // block) + [n % block]
+        want_loss, want_q, want_grad = dense_step(div, p, z, spec)
+        assert loss == want_loss
+        assert np.array_equal(seen, want_q)
+        assert np.max(np.abs(grads["embedding"] - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 7), d=st.integers(1, 3), block=st.integers(1, 3),
+           family=st.sampled_from(["distance", "angular"]), div=st.sampled_from(DIVS),
+           sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_gradcheck_random_small_shapes(self, n, d, block, family, div, sparse, seed):
+        import bicon.kernels
+        from bicon.gradcheck import TOL, _tv_margin_ok, fd_grad, rel_error
+
+        # small enough that no q falls below the EPS floor, where the value stops following q
+        p, z = step_instance(n, d, sparse, seed, scale=0.5)
+        spec = KernelSpec(family, 1.25)
+        assume(_tv_margin_ok(div, p, learned_rows(z, spec)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
+            _, grads = sne_free_value_and_grads(div, p, z, spec)
+            numeric = fd_grad(lambda: sne_free_value_and_grads(div, p, z, spec)[0], z)
+        assert rel_error(grads["embedding"], numeric) <= TOL
+
+    def test_one_step_at_2000_points_peaks_under_half_a_dense_matrix(self):
+        n = 2000
+        rng = np.random.default_rng(5)
+        p = learned_rows(rng.normal(size=(n, 10)), KernelSpec("distance", 1.0))
+        table = 0.3 * rng.normal(size=(n, 2))
+        tracemalloc.start()
+        try:
+            sne_free_value_and_grads("TV", p, table, KernelSpec("distance", 4.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2
+
+
 class TestResolveConfig:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -274,21 +373,38 @@ class TestRunSne:
         import bicon.kernels
 
         calls = []
+        inside = []
+        step_blocks = []
         original = bicon.kernels.squared_distances
+        add_squares = bicon.kernels._add_squares
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return original(*args, **kwargs)
+            inside.append(1)
+            try:
+                return original(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counted_rows(at, bt, out, tmp):
+            # the one distance kernel; outside squared_distances only the step runs it
+            if not inside:
+                step_blocks.append(out.shape)
+            return add_squares(at, bt, out, tmp)
 
         monkeypatch.setattr(bicon.kernels, "squared_distances", counted)
         monkeypatch.setattr(bicon.evaluation, "squared_distances", counted)
+        monkeypatch.setattr(bicon.kernels, "_add_squares", counted_rows)
         ds = toy_blobs(n=16, d=3)
         cfg = {"task": "sne", "divergence": "JSD", "lr": 0.01, "epochs": 7,
                "perplexity": 4.0, "eval_every": 3, "mode": mode, "hidden": 4, "seed": 0}
         report, _ = run_sne(cfg, ds.features, labels=ds.labels)
-        # one per step, one for the target rows, knn and silhouette per snapshot
         assert len(report.snapshots) == 3
-        assert len(calls) == 7 + 1 + 2 * 3
+        # each step: the distances of N rows to all N points, once
+        assert all(cols == 16 for _, cols in step_blocks)
+        assert sum(rows for rows, _ in step_blocks) == 7 * 16
+        # one for the target rows, knn and silhouette per snapshot
+        assert len(calls) == 1 + 2 * 3
 
 
 class TestRunCluster:
