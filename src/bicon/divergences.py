@@ -8,10 +8,10 @@ finite as q -> 0 while KL keeps its blow-up behaviour in that limit.
 
 Each kind is one function of row-aligned matrices that returns the
 per-row values and writes the derivative in Q into a buffer the caller
-gives it, sharing what the two have in common; the SNE and supcon steps
-run it on their blocks of rows. ``divergence_rows`` calls it without
-simplex validation, in buffers of its own; it serves the cluster step
-and finite-difference probes, which deliberately step off the simplex.
+gives it, sharing what the two have in common; every training step runs
+it on its blocks of rows. ``divergence_rows`` calls it without simplex
+validation, in buffers of its own; it serves ``loss_and_grad`` and the
+finite-difference probes, which deliberately step off the simplex.
 The scalar entry points validate their inputs.
 """
 

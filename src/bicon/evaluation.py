@@ -196,11 +196,11 @@ def silhouette(z, labels):
     stripe of about 2**15 distances at a time: rows start:stop against
     points start:, added to the stripe's own rows and, transposed, to
     rows stop:. So each pair's distance is computed once, and memory
-    beyond O(N (d + k)) is the stripe and squared_distances' buffers
-    (about 9 * 2**15 floats), never N x N. The mirror is exact, since
-    squared_distances adds each pair's squares left to right and
-    (a - b)**2 equals (b - a)**2 bit for bit; only the order of the sums
-    differs from one dense product.
+    beyond O(N (d + k)) is the stripe and squared_distances' scratch of
+    the stripe's shape (about 2 * 2**15 floats), never N x N. The mirror
+    is exact, since squared_distances adds each pair's squares left to
+    right and (a - b)**2 equals (b - a)**2 bit for bit; only the order of
+    the sums differs from one dense product.
     """
     z = np.asarray(z, dtype=float)
     y = np.asarray(labels)

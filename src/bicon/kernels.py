@@ -69,14 +69,7 @@ def squared_distances(a, b=None, block=None):
     # one contiguous row per coordinate
     at = np.ascontiguousarray(a.T)
     bt = at if b is a else np.ascontiguousarray(b.T)
-    # one allocation of at least 9 * 2**15 floats (2.4 MB) at every width:
-    # freeing a block this large raises glibc's dynamic mmap threshold past
-    # it, which keeps later temporaries up to that size on the heap instead
-    # of mapping and faulting them in afresh on every call. The cluster
-    # step's batch x batch arrays (512 KB at batch_size 256) still rely on
-    # it; the SNE and supcon steps write into buffers allocated once per run.
-    shape = (min(block, n), m)
-    tmp = np.empty(max(shape[0] * m, 9 * _BLOCK_FLOATS))[:shape[0] * m].reshape(shape)
+    tmp = np.empty((min(block, n), m))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, block):
             rows = out[start:start + block]
@@ -196,7 +189,7 @@ def kernel_rows_grad(z, spec, dL_dq):
     angular family z is the raw (unnormalized) embedding; the unit-sphere
     normalization consumed by similarity_matrix is part of the chain, so
     the returned gradient includes the tangent-space projection. Runs
-    _kernel_rows_pass, the one backward of the training steps, with each
+    _kernel_rows_pass, the backward of the SNE and supcon steps, with each
     block of dL_dq's rows copied into the pass's buffers.
     """
     z = np.asarray(z, dtype=float)
@@ -555,9 +548,9 @@ def cluster_transition(assignments):
     return _cluster_transition(assignments)[0]
 
 
-def _cluster_transition(assignments):
-    """cluster_transition's rows q and their overlap sums r (N x 1), which
-    _cluster_transition_backward reuses."""
+def _cluster_transition(assignments, out=None):
+    """cluster_transition's rows q, written into out if given, and their
+    overlap sums r (N x 1), which _cluster_rows_pass reuses."""
     phi = np.asarray(assignments, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < 2:
         raise DimensionError(f"expected an N x C assignment matrix with N >= 2, got shape {phi.shape}")
@@ -566,7 +559,7 @@ def _cluster_transition(assignments):
     err = np.max(np.abs(phi.sum(axis=1) - 1.0))
     if err > SIMPLEX_TOL:
         raise DomainError(f"assignment rows must sum to 1 within {SIMPLEX_TOL}, worst error {err!r}")
-    G = phi @ phi.T
+    G = np.matmul(phi, phi.T, out=out)
     np.fill_diagonal(G, 0.0)
     r = G.sum(axis=1, keepdims=True)
     if np.any(r <= 0.0):
@@ -581,18 +574,26 @@ def _cluster_transition(assignments):
 def cluster_transition_grad(assignments, dL_dq):
     """Pull a gradient in cluster_transition's output back to assignments.
 
-    Runs cluster_transition first, so assignments are checked as there.
+    Runs the cluster step's pass, _cluster_rows_pass, on a copy of dL_dq,
+    so assignments are checked as in cluster_transition.
     """
     phi = np.asarray(assignments, dtype=float)
     g = np.asarray(dL_dq, dtype=float)
     if g.shape != (phi.shape[0], phi.shape[0]):
         raise DimensionError(f"shape mismatch: assignments {phi.shape}, dL_dq {g.shape}")
-    q, r = _cluster_transition(phi)
-    return _cluster_transition_backward(phi, q, r, g)
+    return _cluster_rows_pass(phi, lambda start, q, out, tmp: np.copyto(out, g))
 
 
-def _cluster_transition_backward(phi, q, r, dL_dq):
-    """cluster_transition_grad given q, r = _cluster_transition(phi)."""
-    M = (dL_dq - np.sum(dL_dq * q, axis=1, keepdims=True)) / r
-    np.fill_diagonal(M, 0.0)
-    return (M + M.T) @ phi
+def _cluster_rows_pass(phi, fill, buffers=None):
+    """Gradient in phi of a loss of q = cluster_transition(phi), in the
+    N x N buffers[:3] (allocated here if None): q is built in the first,
+    fill(0, q, g, tmp) writes the loss's gradient in q into g, which
+    becomes M = (g - sum(g q)) / r, diagonal zeroed, and the result is
+    (M + M.T) @ phi, with M + M.T formed in tmp."""
+    q, g, tmp = np.empty((3, len(phi), len(phi))) if buffers is None else buffers[:3]
+    q, r = _cluster_transition(phi, q)
+    fill(0, q, g, tmp)
+    g -= np.multiply(g, q, out=tmp).sum(axis=1, keepdims=True)
+    g /= r
+    np.fill_diagonal(g, 0.0)
+    return np.add(g, g.T, out=tmp) @ phi

@@ -25,8 +25,7 @@ from .evaluation import holdout_split, hungarian_accuracy, knn_accuracy, silhoue
 from .kernels import (
     KERNEL_FAMILIES,
     KernelSpec,
-    _cluster_transition,
-    _cluster_transition_backward,
+    _cluster_rows_pass,
     _kernel_rows_buffers,
     _kernel_rows_pass,
     _knn_graph,
@@ -167,35 +166,29 @@ def loss_and_grad(divergence, p, q):
     gradient is scaled by 1/N; the diagonal of the gradient is forced to
     zero since diagonal entries are structural.
     """
-    return _loss_and_grad(divergence, validate_distribution(p), validate_distribution(q))
-
-
-def _loss_and_grad(divergence, p, q):
-    """loss_and_grad for p and q that are valid where they were built:
-    neither is checked here."""
+    p, q = validate_distribution(p), validate_distribution(q)
     if p.shape != q.shape:
         raise DimensionError(f"p and q shapes differ: {p.shape} vs {q.shape}")
     values, g = divergence_rows(divergence, p, q)
-    loss = float(values.mean())
     g /= p.shape[0]
     np.fill_diagonal(g, 0.0)
-    return loss, g
+    return float(values.mean()), g
 
 
 # The assemblies below run each forward pass once and hand its results to
-# the backward pass. p and q must be valid transition matrices: their
-# builders make them so (property tests check each builder on random
-# shapes), and run_sne validates its one p per run, not on every step.
-# buffers are _kernel_rows_buffers(N), allocated once per run; None
-# allocates them per call.
+# one rows pass (kernels._kernel_rows_pass or _cluster_rows_pass), which
+# fills in the divergence through _rows_loss_and_grad. p must be a valid
+# transition matrix: its builders make it so (property tests check each
+# builder on random shapes), and run_sne validates its one p per run.
+# buffers are the pass's, allocated once per run, or None: one per call.
 
 
-def _kernel_loss_and_grad(divergence, p, z, spec, buffers):
-    """_loss_and_grad of p and learned_rows(z, spec), pulled back to z in
-    one _kernel_rows_pass, which gets each block's rows of dD/dQ / N
-    (their diagonal, finite since p's is 0, left as it is)."""
+def _rows_loss_and_grad(divergence, p, n, rows_pass):
+    """Mean row divergence of p and the N x N learned rows q of a rows
+    pass, and the pass's gradient. rows_pass(fill) runs the pass, which
+    hands fill each block's rows of q, to be given their rows of
+    dD/dQ / N (the diagonal, finite since p's is 0, left as it is)."""
     _check_kind(divergence)
-    n = z.shape[0]
     if p.shape != (n, n):
         raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
     kind = DIVERGENCES[divergence]
@@ -205,14 +198,14 @@ def _kernel_loss_and_grad(divergence, p, z, spec, buffers):
         values[start:start + len(q)] = kind(p[start:start + len(q)], q, g, tmp)
         g /= n
 
-    dz = _kernel_rows_pass(z, spec, fill, buffers)
-    return float(values.mean()), dz
+    grad = rows_pass(fill)
+    return float(values.mean()), grad
 
 
 def sne_free_value_and_grads(divergence, p, table, spec, buffers=None):
     """Loss and embedding gradient of a free SNE step: one kernel-rows
     pass, the backward kernel_rows_grad runs, with no N x N temporary."""
-    loss, dz = _kernel_loss_and_grad(divergence, p, table, spec, buffers)
+    loss, dz = _rows_loss_and_grad(divergence, p, len(table), lambda fill: _kernel_rows_pass(table, spec, fill, buffers))
     return loss, {"embedding": dz}
 
 
@@ -221,17 +214,17 @@ def encoder_value_and_grads(divergence, p, encoder, x, spec, buffers=None):
     supcon): the encoder's forward, one kernel-rows pass, its backward."""
     x = np.asarray(x, dtype=float)
     z, h = _forward(encoder, x)
-    loss, dz = _kernel_loss_and_grad(divergence, p, z, spec, buffers)
+    loss, dz = _rows_loss_and_grad(divergence, p, len(z), lambda fill: _kernel_rows_pass(z, spec, fill, buffers))
     grads, _ = _backward(encoder, x, h, dz)
     return loss, grads
 
 
-def cluster_value_and_grads(divergence, p, head, x):
+def cluster_value_and_grads(divergence, p, head, x, buffers=None):
+    """Loss and parameter gradients of a cluster-head step: the head's
+    forward, one cluster-rows pass, its backward."""
     x = np.asarray(x, dtype=float)
     phi = head_forward(head, x)
-    q, r = _cluster_transition(phi)
-    loss, dq = _loss_and_grad(divergence, p, q)
-    dphi = _cluster_transition_backward(phi, q, r, dq)
+    loss, dphi = _rows_loss_and_grad(divergence, p, len(phi), lambda fill: _cluster_rows_pass(phi, fill, buffers))
     grads, _ = _head_backward(head, x, phi, dphi)
     return loss, grads
 
@@ -332,10 +325,11 @@ def run_sne(config, x, labels=None):
     return report, embed()
 
 
-def _sub_rows(nbrs, idx, pos):
-    """Uniform kNN rows over a batch, rows renormalized: row i weighs the
-    members of nbrs[idx[i]] that are in the batch equally. A row with no
-    neighbor in the batch falls back to uniform over the batch.
+def _sub_rows(nbrs, idx, pos, out=None):
+    """Uniform kNN rows over a batch, rows renormalized, written into out
+    if given: row i weighs the members of nbrs[idx[i]] that are in the
+    batch equally. A row with no neighbor in the batch falls back to
+    uniform over the batch.
 
     nbrs is the N x k neighbor index array. pos is an N-long scratch map,
     -1 everywhere on entry and on return, that takes each batch point to
@@ -345,7 +339,8 @@ def _sub_rows(nbrs, idx, pos):
     slot = pos[nbrs[idx]]
     pos[idx] = -1
     rows, cols = np.nonzero(slot >= 0)
-    sub = np.zeros((idx.shape[0], idx.shape[0]))
+    sub = np.empty((idx.shape[0], idx.shape[0])) if out is None else out
+    sub.fill(0.0)
     sub[rows, slot[rows, cols]] = 1.0 / nbrs.shape[1]
     sums = sub.sum(axis=1)
     empty = sums <= 0.0
@@ -354,7 +349,7 @@ def _sub_rows(nbrs, idx, pos):
         sub[rows] = 1.0 / (idx.shape[0] - 1)
         sub[rows, rows] = 0.0
         sums = sub.sum(axis=1)
-    return sub / sums[:, None]
+    return np.divide(sub, sums[:, None], out=sub)
 
 
 def run_cluster(config, x, labels=None):
@@ -363,8 +358,10 @@ def run_cluster(config, x, labels=None):
     The graph is held as each point's k neighbor indices, found once up
     front, never as a dense N x N matrix. Each epoch shuffles the points
     into batches (a trailing batch of fewer than 4 is dropped), and each
-    batch scatters and renormalizes its sub-rows (see _sub_rows).
-    Snapshots record assignment accuracy when labels are given.
+    batch scatters and renormalizes its sub-rows (see _sub_rows) into the
+    last of four b x b parts, after the step's buffers, at the front of
+    one slab sized for the largest batch. Snapshots record assignment
+    accuracy when labels are given.
     """
     cfg = resolve_config(config)
     x = np.asarray(x, dtype=float)
@@ -374,20 +371,22 @@ def run_cluster(config, x, labels=None):
     pos = np.full(x.shape[0], -1, dtype=np.intp)
     head = ClusterHead.init(x.shape[1], cfg.clusters, np.random.default_rng([cfg.seed, 1]))
     shuffle_rng = np.random.default_rng([cfg.seed, 7])
+    slab = np.empty(4 * min(cfg.batch_size, x.shape[0]) ** 2)
+    front = lambda b: slab[:4 * b * b].reshape(4, b, b)
 
     def batches():
         perm = shuffle_rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
             if batch.shape[0] >= 4:
-                yield _sub_rows(nbrs, batch, pos), x[batch]
+                yield _sub_rows(nbrs, batch, pos, front(batch.shape[0])[3]), x[batch]
 
     def evaluate():
         if labels is None:
             return {}
         return {"hungarian": hungarian_accuracy(head_forward(head, x).argmax(axis=1), labels)}
 
-    objective = lambda p, xb: cluster_value_and_grads(cfg.divergence, p, head, xb)
+    objective = lambda p, xb: cluster_value_and_grads(cfg.divergence, p, head, xb, front(xb.shape[0]))
     report = _train(cfg, head, batches, objective, evaluate)
     return report, head_forward(head, x)
 
@@ -458,8 +457,8 @@ def run_supcon(config, x, labels):
         z = forward(encoder, x)
         return {"knn": knn_accuracy(z[train_idx], y[train_idx], z[test_idx], y[test_idx], k=7)}
 
-    # every balanced batch has batch_size rows
-    buffers = _kernel_rows_buffers(cfg.batch_size)
+    # every balanced batch has batch_size rows, all drawn from train_idx
+    buffers = _kernel_rows_buffers(min(cfg.batch_size, train_idx.shape[0]))
     objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, encoder, xb, spec, buffers)
     report = _train(cfg, encoder, batches, objective, evaluate)
     chance = 1.0 / np.unique(y).shape[0]

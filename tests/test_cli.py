@@ -280,6 +280,26 @@ class TestRunCommand:
         assert rc == EXIT_CONFIG
         assert "no batch of at least 4 points" in capsys.readouterr().err
 
+    def test_supcon_batch_beyond_the_data_exits_2(self, tmp_path, capsys):
+        # the step's buffers are sized for the training points, not for batch_size
+        cfg = write_json(tmp_path / "cfg.json", supcon_config(batch_size=10**9))
+        rc = main(["run", "supcon", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "not enough samples per class" in capsys.readouterr().err
+
+    def test_cluster_batch_beyond_the_data(self, tmp_path, capsys):
+        # the step's slab is sized for the points, not for batch_size: one
+        # full batch trains, and three points still make no batch
+        cfg = write_json(tmp_path / "cfg.json", cluster_config(batch_size=10**9))
+        assert main(["run", "cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        data = tmp_path / "three.csv"
+        save_csv(LabeledMatrix(np.arange(6.0).reshape(3, 2), np.array([0, 1, 0])), data)
+        cfg = write_json(tmp_path / "cfg.json", cluster_config(
+            data_generator="file", data_path=str(data), k=2, clusters=2, batch_size=10**9))
+        rc = main(["run", "cluster", "--config", cfg, "--out", str(tmp_path / "o3")])
+        assert rc == EXIT_CONFIG
+        assert "no batch of at least 4 points" in capsys.readouterr().err
+
     def _run_on_overflowing_features(self, tmp_path, capsys, task, config):
         # 1e200 loads as a finite float, but its squared norm overflows
         m = generate(DatasetSpec(n=30, d=3, classes=3, separation=8.0, seed=2))

@@ -173,11 +173,19 @@ class TestFusedAssemblies:
         phi = head_forward(head, x)
         loss, dq = loss_and_grad(div, p, cluster_transition(phi))
         want, _ = head_backward(head, x, cluster_transition_grad(phi, dq))
-        fused_loss, grads = cluster_value_and_grads(div, p, head, x)
-        assert fused_loss == loss
-        assert grads.keys() == want.keys()
-        for name in want:
-            assert np.array_equal(grads[name], want[name]), name
+        # as in run_cluster: a shorter batch works in the front of a slab
+        # sized for a larger one, with its target rows in the fourth part;
+        # the slab's stale contents must not reach the result
+        slab = np.full(4 * 16 * 16, np.nan)
+        front = slab[:4 * 11 * 11].reshape(4, 11, 11)
+        front[3] = p
+        for buffers, target in ((None, p), (np.empty((3, 11, 11)), p), (front, front[3]), (front, front[3])):
+            fused_loss, grads = cluster_value_and_grads(div, target, head, x, buffers)
+            assert fused_loss == loss
+            assert grads.keys() == want.keys()
+            for name in want:
+                assert np.array_equal(grads[name], want[name]), name
+        assert np.isnan(slab[4 * 11 * 11:]).all()
 
 
 def dense_step(divergence, p, z, spec):
@@ -207,6 +215,17 @@ def step_instance(n, d, sparse, seed, scale=None):
     x = rng.normal(size=(n, 3))
     p = supervisory_knn(x, max(1, n // 3)) if sparse else learned_rows(x, KernelSpec("distance", 1.0))
     return p, rng.normal(size=(n, d)) * (scale or rng.choice([0.3, 1.0, 3.0]))
+
+
+def step_gradcheck_error(grads, value, params):
+    """gradcheck's rel_error of a step's whole gradient, its tensors taken
+    together: a bias's gradient can cancel to about 1e-6 of the loss, where
+    central differences' roundoff alone is 1e-5 of that tensor."""
+    from bicon.gradcheck import fd_grad, rel_error
+
+    analytic = np.concatenate([grads[name].ravel() for name in params])
+    numeric = np.concatenate([fd_grad(value, tensor).ravel() for tensor in params.values()])
+    return rel_error(analytic, numeric)
 
 
 class TestBlockedStep:
@@ -264,6 +283,31 @@ class TestBlockedStep:
             numeric = fd_grad(lambda: sne_free_value_and_grads(div, p, z, spec)[0], z)
         assert rel_error(grads["embedding"], numeric) <= TOL
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(4, 7), d=st.integers(2, 4), block=st.integers(1, 3),
+           kind=st.sampled_from(["linear", "mlp1"]), family=st.sampled_from(["distance", "angular"]),
+           div=st.sampled_from(DIVS), target=st.sampled_from(["sne", "supcon"]),
+           sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_encoder_gradcheck_random_small_shapes(self, n, d, block, kind, family, div, target,
+                                                   sparse, seed):
+        # the parametric SNE step (kNN or softmax target rows) and the supcon
+        # step (shared-label rows, every class of two or more points)
+        import bicon.kernels
+        from bicon.gradcheck import TOL, _tv_margin_ok
+
+        p, x = step_instance(n, d, sparse, seed, scale=0.5)
+        rng = np.random.default_rng(seed)
+        if target == "supcon":
+            p = supervisory_labels(rng.permutation(np.minimum(np.arange(n) // 2, n // 2 - 1)))
+        enc = Encoder.init(kind, d, 4, 3, rng)
+        spec = KernelSpec(family, 1.25)
+        assume(_tv_margin_ok(div, p, learned_rows(forward(enc, x), spec)))
+        value = lambda: encoder_value_and_grads(div, p, enc, x, spec)[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
+            _, grads = encoder_value_and_grads(div, p, enc, x, spec)
+            assert step_gradcheck_error(grads, value, enc.params()) <= TOL
+
     def test_one_step_at_2000_points_peaks_under_half_a_dense_matrix(self):
         n = 2000
         rng = np.random.default_rng(5)
@@ -276,6 +320,40 @@ class TestBlockedStep:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n / 2
+
+
+class TestClusterStep:
+    """The cluster step's one pass: cluster_transition's rows, the
+    divergence and the backward in three batch x batch buffers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(3, 9), d=st.integers(1, 3), clusters=st.integers(2, 4),
+           div=st.sampled_from(DIVS), sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_gradcheck_random_small_shapes(self, n, d, clusters, div, sparse, seed):
+        from bicon.gradcheck import TOL, _tv_margin_ok
+
+        p, x = step_instance(n, d, sparse, seed, scale=0.5)
+        head = ClusterHead.init(d, clusters, np.random.default_rng(seed))
+        assume(_tv_margin_ok(div, p, cluster_transition(head_forward(head, x))))
+        _, grads = cluster_value_and_grads(div, p, head, x, np.empty((3, n, n)))
+        value = lambda: cluster_value_and_grads(div, p, head, x)[0]
+        assert step_gradcheck_error(grads, value, head.params()) <= TOL
+
+    @pytest.mark.parametrize("div", DIVS)
+    def test_one_step_at_256_points_peaks_under_half_a_batch_matrix(self, div):
+        b = 256
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(b, 64))
+        p = supervisory_knn(x, 30)
+        head = ClusterHead.init(64, 10, rng)
+        buffers = np.empty((3, b, b))
+        tracemalloc.start()
+        try:
+            cluster_value_and_grads(div, p, head, x, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * b * b / 2
 
 
 class TestResolveConfig:
@@ -515,7 +593,12 @@ class TestSubRows:
         nbrs, p = _knn_graph(x, k), supervisory_knn(x, k)
         pos = np.full(x.shape[0], -1, dtype=np.intp)
         for idx in batches:
-            assert np.array_equal(_sub_rows(nbrs, idx, pos), dense_sub_rows(p, idx))
+            want = dense_sub_rows(p, idx)
+            assert np.array_equal(_sub_rows(nbrs, idx, pos), want)
+            # into a buffer that holds stale values, as run_cluster's slab does
+            out = np.full((len(idx), len(idx)), np.nan)
+            assert _sub_rows(nbrs, idx, pos, out) is out
+            assert np.array_equal(out, want)
             assert np.all(pos == -1)
 
     @settings(max_examples=100, deadline=None)
