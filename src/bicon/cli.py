@@ -15,17 +15,15 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from itertools import product
 from pathlib import Path
 
-import numpy as np
-
 from .data import DatasetSpec, emit_report_csv, emit_scatter_svg, generate
 from .errors import ConfigError, DimensionError, DomainError, NumericalError, ParseError
-from .evaluation import holdout_split, hungarian_accuracy, knn_accuracy, linear_probe, silhouette
+from .evaluation import METRICS, metric
 from .gradcheck import SCOPES, TOL, run_scope
-from .model import forward, head_forward, load_checkpoint, save_checkpoint
+from .model import features, load_checkpoint, save_checkpoint
 from .trainers import CONFIG_KEYS, TASKS, resolve_config, run_cluster, run_sne, run_supcon
 
 LOG = logging.getLogger("bicon")
@@ -35,18 +33,8 @@ EXIT_GRADCHECK = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-EVAL_METRICS = ("hungarian", "knn", "probe", "silhouette")
-
 # config keys addressed to dataset generation rather than the trainer
-_DATA_KEYS = {
-    "data_generator": "generator",
-    "data_n": "n",
-    "data_d": "d",
-    "data_classes": "classes",
-    "data_separation": "separation",
-    "data_seed": "seed",
-    "data_path": "path",
-}
+_DATA_KEYS = {f"data_{f.name}": f.name for f in fields(DatasetSpec)}
 
 
 def fnv1a64(data):
@@ -123,20 +111,11 @@ def sweep_cells(axes):
     return cells
 
 
-def _merge_cell(loss, data, overrides):
-    cell_loss, cell_data = dict(loss), dict(data)
-    for key, value in overrides.items():
-        if key in _DATA_KEYS:
-            cell_data[_DATA_KEYS[key]] = value
-        else:
-            cell_loss[key] = value
-    return cell_loss, cell_data
-
-
-def _write_metrics_csv(path, rows, digest, seed):
-    lines = ["metric,value,hash,seed"]
-    lines += [f"{name},{value:.17g},{digest},{seed}" for name, value in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_metrics_csv(path, rows, digest, seed, mode="w"):
+    """Write ("w") or append ("a") metric rows; a new file gets the header."""
+    header = "" if mode == "a" and path.exists() else "metric,value,hash,seed\n"
+    with open(path, mode, encoding="utf-8") as fh:
+        fh.write(header + "".join(f"{name},{value:.17g},{digest},{seed}\n" for name, value in rows))
 
 
 def _execute_run(task, loss, data, out_dir, config_path):
@@ -158,13 +137,8 @@ def _execute_run(task, loss, data, out_dir, config_path):
     manifest["out"] = str(out_dir)
 
     LOG.info("run %s -> %s (hash %s)", task, out_dir, digest)
-    if task == "sne":
-        report, output = run_sne(cfg, x, labels=labels)
-    elif task == "cluster":
-        report, output = run_cluster(cfg, x, labels=labels)
-    else:
-        report, output = run_supcon(cfg, x, labels)
-        output = forward(report.model, x)
+    report, _ = {"sne": run_sne, "cluster": run_cluster, "supcon": run_supcon}[task](cfg, x, labels)
+    output = features(report.model, x)
 
     rows = [("loss", report.losses[-1])]
     rows += sorted(report.snapshots[-1][1].items())
@@ -188,7 +162,7 @@ def cmd_run(args):
     raw = _load_config(args.config)
     loss, data = split_config(raw)
     if args.seed is not None:
-        loss["seed"] = args.seed
+        loss["seed"] = raw["seed"] = args.seed
     axes = parse_sweep(args.sweep)
     if not axes:
         _, rows = _execute_run(args.task, loss, data, args.out, args.config)
@@ -205,7 +179,7 @@ def cmd_run(args):
 
     cells = []
     for index, name, overrides in sweep_cells(axes):
-        cell_loss, cell_data = _merge_cell(loss, data, overrides)
+        cell_loss, cell_data = split_config({**raw, **overrides})
         resolve_config({**cell_loss, "task": args.task})
         if "seed" not in swept:
             # isolate each cell's RNG streams behind its own derived seed
@@ -252,27 +226,12 @@ def cmd_gradcheck(args):
     return EXIT_OK
 
 
-def _eval_features(model, x):
-    if model.kind == "free":
-        if model.table.shape[0] != x.shape[0]:
-            raise DimensionError(
-                f"checkpoint embeds {model.table.shape[0]} points but dataset has {x.shape[0]}"
-            )
-        return model.table
-    in_dim = model.W1.shape[0] if model.kind in ("linear", "mlp1") else model.W.shape[0]
-    if x.shape[1] != in_dim:
-        raise DimensionError(f"checkpoint expects {in_dim} features but dataset has {x.shape[1]}")
-    if model.kind == "head":
-        return head_forward(model, x)
-    return forward(model, x)
-
-
 def cmd_eval(args):
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    unknown = sorted(set(metrics) - set(EVAL_METRICS))
+    unknown = sorted(set(metrics) - set(METRICS))
     if unknown or not metrics:
         raise ConfigError(
-            f"unknown metrics: {', '.join(unknown) or '(none given)'}; valid names: {', '.join(EVAL_METRICS)}"
+            f"unknown metrics: {', '.join(unknown) or '(none given)'}; valid names: {', '.join(METRICS)}"
         )
     model = load_checkpoint(args.checkpoint)
     dataset = generate(DatasetSpec(generator="file", path=args.data))
@@ -301,35 +260,16 @@ def cmd_eval(args):
 
     if "hungarian" in metrics and model.kind != "head":
         raise ConfigError("metric 'hungarian' needs a cluster-head checkpoint")
-    features = _eval_features(model, x)
-    train_idx, test_idx = holdout_split(x.shape[0], 0.25, seed)
-
+    z = features(model, x)
     rows = []
     for name in metrics:
-        if name == "hungarian":
-            value = hungarian_accuracy(features.argmax(axis=1), labels)
-        elif name == "knn":
-            value = knn_accuracy(
-                features[train_idx], labels[train_idx], features[test_idx], labels[test_idx], k=7
-            )
-        elif name == "probe":
-            value = linear_probe(
-                features[train_idx], labels[train_idx], features[test_idx], labels[test_idx], seed=seed
-            )
-        else:
-            value = silhouette(features, labels)
-        rows.append((name, float(value)))
-        print(f"{name}={float(value):.17g}")
+        value = metric(name, z, labels, seed)
+        rows.append((name, value))
+        print(f"{name}={value:.17g}")
 
     out_dir = Path(args.out) if args.out else Path(args.checkpoint).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "metrics.csv"
-    body = "".join(f"{name},{value:.17g},{digest},{seed}\n" for name, value in rows)
-    if csv_path.exists():
-        with open(csv_path, "a", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        csv_path.write_text("metric,value,hash,seed\n" + body, encoding="utf-8")
+    _write_metrics_csv(out_dir / "metrics.csv", rows, digest, seed, mode="a")
     return EXIT_OK
 
 
@@ -371,7 +311,7 @@ def build_parser():
     e = sub.add_parser("eval", help="evaluate a checkpoint on a dataset file")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--data", required=True, help="CSV or binary matrix file")
-    e.add_argument("--metrics", required=True, help=f"comma-separated from {', '.join(EVAL_METRICS)}")
+    e.add_argument("--metrics", required=True, help=f"comma-separated from {', '.join(METRICS)}")
     e.add_argument("--out", default=None, help="directory for metrics.csv (default: checkpoint dir)")
     e.add_argument("--seed", type=int, default=None, help="holdout/probe seed (default: run manifest)")
     e.set_defaults(func=cmd_eval)

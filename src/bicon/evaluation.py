@@ -3,8 +3,10 @@
 hungarian_accuracy matches predicted clusters to true classes with an
 exact maximum-weight assignment; knn_accuracy and linear_probe measure
 how well labels can be read back out of an embedding; silhouette scores
-cluster geometry without labels. kmeans_labels is a small Lloyd's-loop
-baseline kept around as a sanity reference for the clustering engine.
+cluster geometry without labels. metric scores a model's features under
+one of METRICS by name, the one rule that training snapshots and
+`bicon eval` share. kmeans_labels is a small Lloyd's-loop baseline kept
+around as a sanity reference for the clustering engine.
 """
 
 from __future__ import annotations
@@ -13,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NumericalError
+from .errors import ConfigError, DimensionError, DomainError, NumericalError
 from .kernels import _BLOCK_FLOATS, _finite, _knn, squared_distances
 from .model import Adam, ClusterHead, head_forward
+
+METRICS = ("hungarian", "knn", "probe", "silhouette")
 
 
 @dataclass(frozen=True)
@@ -245,6 +249,26 @@ def holdout_split(n, test_fraction=0.25, seed=0):
     perm = rng.permutation(n)
     n_test = min(max(1, int(round(test_fraction * n))), n - 1)
     return perm[n_test:], perm[:n_test]
+
+
+def metric(name, z, labels, seed=0):
+    """Metric `name` of features z (model.features) against labels.
+
+    hungarian scores z's argmax as cluster assignments; knn (k = 7) and
+    probe (seeded by seed) train on holdout_split(N, seed=seed), which
+    holds out a quarter of the points, and score that quarter;
+    silhouette scores all of z. run_supcon trains on the same split.
+    """
+    if name not in METRICS:
+        raise ConfigError(f"unknown metric {name!r}; valid names: {', '.join(METRICS)}")
+    if name == "hungarian":
+        return hungarian_accuracy(z.argmax(axis=1), labels)
+    if name == "silhouette":
+        return silhouette(z, labels)
+    train, test = holdout_split(z.shape[0], seed=seed)
+    if name == "knn":
+        return knn_accuracy(z[train], labels[train], z[test], labels[test], k=7)
+    return linear_probe(z[train], labels[train], z[test], labels[test], seed=seed)
 
 
 def kmeans_labels(x, clusters, seed=0, iters=100):

@@ -579,7 +579,7 @@ def cluster_transition_grad(assignments, dL_dq):
     """
     phi = np.asarray(assignments, dtype=float)
     g = np.asarray(dL_dq, dtype=float)
-    if g.shape != (phi.shape[0], phi.shape[0]):
+    if phi.ndim != 2 or g.shape != (phi.shape[0], phi.shape[0]):
         raise DimensionError(f"shape mismatch: assignments {phi.shape}, dL_dq {g.shape}")
     return _cluster_rows_pass(phi, lambda start, q, out, tmp: np.copyto(out, g))
 

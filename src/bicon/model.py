@@ -153,6 +153,19 @@ def head_forward(head, x):
     return softmax_rows(x @ head.W + head.b)
 
 
+def features(model, x):
+    """The rows a model's metrics score for the points x: a free
+    embedding's table, which must hold one row per point, an encoder's
+    forward or a head's head_forward."""
+    if model.kind == "free":
+        if model.table.shape[0] != len(x):
+            raise DimensionError(f"free embedding has {len(model.table)} rows but the data has {len(x)} points")
+        return model.table
+    if model.kind == "head":
+        return head_forward(model, x)
+    return forward(model, x)
+
+
 def softmax_rows(logits):
     """Row softmax; each row is shifted by its maximum before exponentiation."""
     shifted = logits - logits.max(axis=1, keepdims=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .divergences import DIVERGENCES, KINDS, _check_kind, divergence_rows
 from .errors import ConfigError, DimensionError, DomainError, NumericalError, check_field_types
-from .evaluation import holdout_split, hungarian_accuracy, knn_accuracy, silhouette
+from .evaluation import holdout_split, metric
 from .kernels import (
     KERNEL_FAMILIES,
     KernelSpec,
@@ -34,7 +34,7 @@ from .kernels import (
     supervisory_sne,
     validate_distribution,
 )
-from .model import Adam, ClusterHead, Encoder, FreeEmbedding, _backward, _forward, _head_backward, forward, head_forward
+from .model import Adam, ClusterHead, Encoder, FreeEmbedding, _backward, _forward, _head_backward, features, head_forward
 
 LOG = logging.getLogger("bicon.trainers")
 
@@ -281,16 +281,15 @@ def _clip(grads, limit):
     return grads
 
 
-def _embedding_metrics(emb, labels, seed):
-    if labels is None:
-        return {}
-    train_idx, test_idx = holdout_split(emb.shape[0], 0.25, seed)
-    out = {
-        "knn": knn_accuracy(emb[train_idx], labels[train_idx], emb[test_idx], labels[test_idx], k=7)
-    }
-    if np.unique(labels).shape[0] >= 2:
-        out["silhouette"] = silhouette(emb, labels)
-    return out
+def _snapshot(model, x, labels, names, seed):
+    """_train's evaluate: the named metrics (evaluation.metric) of the
+    model's features on x; none without labels."""
+    def evaluate():
+        if labels is None:
+            return {}
+        z = features(model, x)
+        return {name: metric(name, z, labels, seed) for name in names}
+    return evaluate
 
 
 def run_sne(config, x, labels=None):
@@ -315,14 +314,12 @@ def run_sne(config, x, labels=None):
         else:
             model = FreeEmbedding.init(x.shape[0], cfg.out_dim, rng, scale=cfg.init_scale)
         objective = lambda p, _: sne_free_value_and_grads(cfg.divergence, p, model.table, spec, buffers)
-        embed = lambda: model.table
     else:
         model = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
         objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, model, xb, spec, buffers)
-        embed = lambda: forward(model, x)
-    evaluate = lambda: _embedding_metrics(embed(), labels, cfg.seed)
-    report = _train(cfg, model, lambda: [(p, x)], objective, evaluate)
-    return report, embed()
+    names = ("knn", "silhouette") if labels is not None and len(np.unique(labels)) >= 2 else ("knn",)
+    report = _train(cfg, model, lambda: [(p, x)], objective, _snapshot(model, x, labels, names, cfg.seed))
+    return report, features(model, x)
 
 
 def _sub_rows(nbrs, idx, pos, out=None):
@@ -381,14 +378,9 @@ def run_cluster(config, x, labels=None):
             if batch.shape[0] >= 4:
                 yield _sub_rows(nbrs, batch, pos, front(batch.shape[0])[3]), x[batch]
 
-    def evaluate():
-        if labels is None:
-            return {}
-        return {"hungarian": hungarian_accuracy(head_forward(head, x).argmax(axis=1), labels)}
-
     objective = lambda p, xb: cluster_value_and_grads(cfg.divergence, p, head, xb, front(xb.shape[0]))
-    report = _train(cfg, head, batches, objective, evaluate)
-    return report, head_forward(head, x)
+    report = _train(cfg, head, batches, objective, _snapshot(head, x, labels, ("hungarian",), cfg.seed))
+    return report, features(head, x)
 
 
 def _balanced_batches(indices, labels, batch_size, rng):
@@ -446,21 +438,18 @@ def run_supcon(config, x, labels):
     spec = KernelSpec(cfg.kernel, cfg.scale)
     rng = np.random.default_rng([cfg.seed, 1])
     encoder = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
-    train_idx, test_idx = holdout_split(x.shape[0], 0.25, cfg.seed)
+    # evaluation.metric's knn scores the points held out here
+    train_idx, _ = holdout_split(x.shape[0], seed=cfg.seed)
     shuffle_rng = np.random.default_rng([cfg.seed, 7])
 
     def batches():
         for batch in _balanced_batches(train_idx, y, cfg.batch_size, shuffle_rng):
             yield supervisory_labels(y[batch]), x[batch]
 
-    def evaluate():
-        z = forward(encoder, x)
-        return {"knn": knn_accuracy(z[train_idx], y[train_idx], z[test_idx], y[test_idx], k=7)}
-
     # every balanced batch has batch_size rows, all drawn from train_idx
     buffers = _kernel_rows_buffers(min(cfg.batch_size, train_idx.shape[0]))
     objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, encoder, xb, spec, buffers)
-    report = _train(cfg, encoder, batches, objective, evaluate)
+    report = _train(cfg, encoder, batches, objective, _snapshot(encoder, x, y, ("knn",), cfg.seed))
     chance = 1.0 / np.unique(y).shape[0]
     knn = [metrics["knn"] for _, metrics in report.snapshots]
     report.collapsed = _collapsed(knn, chance, cfg.collapse_arm, cfg.collapse_trip, cfg.collapse_window)

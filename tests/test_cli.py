@@ -437,12 +437,12 @@ class TestEvalCommand:
         save_csv(generate(spec), data_path)
         return out, str(data_path)
 
-    def test_eval_matches_final_training_snapshot(self, tmp_path, capsys):
-        out, data_path = self._run_and_save_data(tmp_path, sne_config())
+    def _assert_eval_matches_final_snapshot(self, tmp_path, capsys, config, metrics):
+        out, data_path = self._run_and_save_data(tmp_path, config)
         run_rows = read_metrics(out / "metrics.csv")
         rc = main([
             "eval", "--checkpoint", str(out / "checkpoint.bicn"),
-            "--data", data_path, "--metrics", "knn,silhouette",
+            "--data", data_path, "--metrics", ",".join(metrics),
         ])
         assert rc == EXIT_OK
         capsys.readouterr()
@@ -450,11 +450,36 @@ class TestEvalCommand:
         appended = all_rows[len(run_rows):]
         by_name = dict((name, value) for name, value, _, _ in appended)
         run_by_name = dict((name, value) for name, value, _, _ in run_rows)
-        assert by_name["knn"] == pytest.approx(run_by_name["knn"], abs=1e-12)
-        assert by_name["silhouette"] == pytest.approx(run_by_name["silhouette"], abs=1e-12)
+        assert sorted(by_name) == sorted(metrics)
+        for name in metrics:
+            assert by_name[name] == pytest.approx(run_by_name[name], abs=1e-12)
         # appended rows reuse the run manifest's hash and seed
-        digest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["hash"]
-        assert all(row[2] == digest for row in appended)
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert all(row[2] == manifest["hash"] for row in appended)
+        assert all(row[3] == manifest["config"]["seed"] for row in appended)
+
+    def test_eval_matches_final_training_snapshot(self, tmp_path, capsys):
+        self._assert_eval_matches_final_snapshot(tmp_path, capsys, sne_config(), ["knn", "silhouette"])
+
+    @pytest.mark.parametrize("config, metrics", [
+        ({**supcon_config(), "task": "supcon"}, ["knn"]),
+        (sne_config(mode="parametric", encoder="mlp1", hidden=8, epochs=5), ["knn", "silhouette"]),
+    ], ids=["supcon", "parametric-sne"])
+    def test_eval_of_an_encoder_matches_final_training_snapshot(self, tmp_path, capsys, config, metrics):
+        self._assert_eval_matches_final_snapshot(tmp_path, capsys, config, metrics)
+
+    @pytest.mark.parametrize("config, metric, message", [
+        ({**supcon_config(), "task": "supcon"}, "knn", "does not match W1"),
+        ({**cluster_config(), "task": "cluster"}, "hungarian", "does not match W"),
+    ], ids=["encoder", "head"])
+    def test_eval_on_data_of_another_width_exits_2(self, tmp_path, capsys, config, metric, message):
+        out, _ = self._run_and_save_data(tmp_path, config)
+        wider = tmp_path / "wider.csv"
+        save_csv(generate(DatasetSpec(n=config["data_n"], d=config["data_d"] + 1, classes=3, seed=4)), wider)
+        capsys.readouterr()
+        rc = main(["eval", "--checkpoint", str(out / "checkpoint.bicn"), "--data", str(wider), "--metrics", metric])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     def test_eval_hungarian_on_cluster_head(self, tmp_path, capsys):
         config = cluster_config()

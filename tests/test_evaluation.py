@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bicon import evaluation
-from bicon.errors import DimensionError, DomainError
+from bicon.errors import ConfigError, DimensionError, DomainError
 from bicon.evaluation import (
     confusion_matrix,
     holdout_split,
@@ -19,6 +19,7 @@ from bicon.evaluation import (
     knn_accuracy,
     linear_probe,
     max_assignment,
+    metric,
     silhouette,
 )
 from bicon.kernels import squared_distances
@@ -297,6 +298,24 @@ class TestHoldout:
         np.testing.assert_array_equal(a[1], b[1])
         c = holdout_split(50, 0.25, seed=4)
         assert not np.array_equal(a[1], c[1])
+
+
+class TestMetric:
+    def test_each_name_is_its_metric_on_the_quarter_holdout(self):
+        rng = np.random.default_rng(5)
+        labels = np.repeat(np.arange(3), 12)
+        z = rng.normal(size=(36, 3)) + 2.0 * np.eye(3)[labels]
+        train, test = holdout_split(36, 0.25, seed=4)
+        assert metric("knn", z, labels, 4) == knn_accuracy(z[train], labels[train], z[test], labels[test], k=7)
+        assert metric("probe", z, labels, 4) == linear_probe(
+            z[train], labels[train], z[test], labels[test], seed=4
+        )
+        assert metric("silhouette", z, labels, 4) == silhouette(z, labels)
+        assert metric("hungarian", z, labels, 4) == hungarian_accuracy(z.argmax(axis=1), labels)
+
+    def test_unknown_name_lists_the_valid_ones(self):
+        with pytest.raises(ConfigError, match="hungarian, knn, probe, silhouette"):
+            metric("sharpness", np.zeros((4, 2)), np.zeros(4, dtype=int))
 
 
 class TestKmeans:

@@ -362,6 +362,14 @@ class TestClusterTransition:
             cluster_transition(phi)
         assert err.value.row == 0
 
+    @pytest.mark.parametrize("phi", [1.0, [0.2, 0.8], [[[1.0]]]])
+    def test_grad_rejects_assignments_not_2d(self, phi):
+        # the same DimensionError as cluster_transition, whatever dL_dq's shape
+        with pytest.raises(DimensionError):
+            cluster_transition(phi)
+        with pytest.raises(DimensionError):
+            cluster_transition_grad(phi, [[0.0]])
+
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(59)
         phi = rng.dirichlet(np.ones(4), size=6)
