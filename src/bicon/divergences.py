@@ -17,6 +17,8 @@ The scalar entry points validate their inputs.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from .errors import DimensionError, DomainError
@@ -90,6 +92,19 @@ KINDS = tuple(DIVERGENCES)
 def _check_kind(kind):
     if kind not in DIVERGENCES:
         raise DomainError(f"unknown divergence {kind!r}; expected one of {KINDS}")
+
+
+@cache
+def _f_at_zero(kind):
+    """f(0) of a kind, read off its value at one entry with p = 0, q = 1.
+
+    At an entry where p = 0 every kind's term is q * f(0) and its
+    derivative in q is f(0), for any q >= 2 * EPS (KL 0, TV 1/2, JSD
+    ln(2) / 2, Hellinger 1/2), so a row's value is its terms on p's
+    support plus f(0) times the rest of q's mass.
+    """
+    one = np.ones((1, 1))
+    return float(DIVERGENCES[kind](np.zeros((1, 1)), one, np.empty((1, 1)), np.empty((1, 1)))[0])
 
 
 def validate_probability_vector(p, name="p"):

@@ -548,9 +548,20 @@ def cluster_transition(assignments):
     return _cluster_transition(assignments)[0]
 
 
-def _cluster_transition(assignments, out=None):
-    """cluster_transition's rows q, written into out if given, and their
-    overlap sums r (N x 1), which _cluster_rows_pass reuses."""
+def _cluster_transition(assignments):
+    """cluster_transition's rows q and their overlap sums r (N x 1), which
+    cluster_transition_grad reuses."""
+    G, r = _cluster_overlaps(assignments)
+    G /= r
+    return G, r
+
+
+def _cluster_overlaps(assignments, out=None):
+    """The overlaps G = phi phi.T, diagonal zeroed, written into out if
+    given, and their row sums r (N x 1), after cluster_transition's
+    checks: q = G / r. G comes from one BLAS product with a contiguous
+    copy of phi.T (OpenBLAS takes a slower path for a transposed view of
+    its other operand), so it need not be symmetric bit for bit."""
     phi = np.asarray(assignments, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < 2:
         raise DimensionError(f"expected an N x C assignment matrix with N >= 2, got shape {phi.shape}")
@@ -559,7 +570,7 @@ def _cluster_transition(assignments, out=None):
     err = np.max(np.abs(phi.sum(axis=1) - 1.0))
     if err > SIMPLEX_TOL:
         raise DomainError(f"assignment rows must sum to 1 within {SIMPLEX_TOL}, worst error {err!r}")
-    G = np.matmul(phi, phi.T, out=out)
+    G = np.matmul(phi, np.ascontiguousarray(phi.T), out=out)
     np.fill_diagonal(G, 0.0)
     r = G.sum(axis=1, keepdims=True)
     if np.any(r <= 0.0):
@@ -567,33 +578,24 @@ def _cluster_transition(assignments, out=None):
         raise DegenerateRowError(
             f"row {row} has zero overlap with every other point", row=row
         )
-    G /= r
     return G, r
 
 
 def cluster_transition_grad(assignments, dL_dq):
     """Pull a gradient in cluster_transition's output back to assignments.
 
-    Runs the cluster step's pass, _cluster_rows_pass, on a copy of dL_dq,
-    so assignments are checked as in cluster_transition.
+    Works on N x N arrays: M = (dL_dq - sum(dL_dq q)) / r, diagonal
+    zeroed, and the result (M + M.T) @ phi; assignments are checked as in
+    cluster_transition. The cluster training step works on its target's
+    support instead (trainers._cluster_support_pass), and this dense
+    chain is its reference in the tests.
     """
     phi = np.asarray(assignments, dtype=float)
     g = np.asarray(dL_dq, dtype=float)
     if phi.ndim != 2 or g.shape != (phi.shape[0], phi.shape[0]):
         raise DimensionError(f"shape mismatch: assignments {phi.shape}, dL_dq {g.shape}")
-    return _cluster_rows_pass(phi, lambda start, q, out, tmp: np.copyto(out, g))
-
-
-def _cluster_rows_pass(phi, fill, buffers=None):
-    """Gradient in phi of a loss of q = cluster_transition(phi), in the
-    N x N buffers[:3] (allocated here if None): q is built in the first,
-    fill(0, q, g, tmp) writes the loss's gradient in q into g, which
-    becomes M = (g - sum(g q)) / r, diagonal zeroed, and the result is
-    (M + M.T) @ phi, with M + M.T formed in tmp."""
-    q, g, tmp = np.empty((3, len(phi), len(phi))) if buffers is None else buffers[:3]
-    q, r = _cluster_transition(phi, q)
-    fill(0, q, g, tmp)
-    g -= np.multiply(g, q, out=tmp).sum(axis=1, keepdims=True)
-    g /= r
-    np.fill_diagonal(g, 0.0)
-    return np.add(g, g.T, out=tmp) @ phi
+    q, r = _cluster_transition(phi)
+    m = g - (g * q).sum(axis=1, keepdims=True)
+    m /= r
+    np.fill_diagonal(m, 0.0)
+    return (m + m.T) @ phi

@@ -19,13 +19,13 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .divergences import DIVERGENCES, KINDS, _check_kind, divergence_rows
+from .divergences import DIVERGENCES, KINDS, _check_kind, _f_at_zero, divergence_rows
 from .errors import ConfigError, DimensionError, DomainError, NumericalError, check_field_types
 from .evaluation import holdout_split, metric
 from .kernels import (
     KERNEL_FAMILIES,
     KernelSpec,
-    _cluster_rows_pass,
+    _cluster_overlaps,
     _kernel_rows_buffers,
     _kernel_rows_pass,
     _knn_graph,
@@ -175,19 +175,22 @@ def loss_and_grad(divergence, p, q):
     return float(values.mean()), g
 
 
-# The assemblies below run each forward pass once and hand its results to
-# one rows pass (kernels._kernel_rows_pass or _cluster_rows_pass), which
-# fills in the divergence through _rows_loss_and_grad. p must be a valid
-# transition matrix: its builders make it so (property tests check each
-# builder on random shapes), and run_sne validates its one p per run.
-# buffers are the pass's, allocated once per run, or None: one per call.
+# The assemblies below run each forward pass once. The SNE and supcon
+# steps hand its results to one rows pass, kernels._kernel_rows_pass, which
+# fills in the divergence through _rows_loss_and_grad; the cluster step
+# takes the divergence and its backward on its target's support
+# (_cluster_support_pass). p must be a valid transition matrix: its
+# builders make it so (property tests check each builder on random
+# shapes), and run_sne validates its one p per run. buffers are the
+# pass's, allocated once per run, or None: one per call.
 
 
 def _rows_loss_and_grad(divergence, p, n, rows_pass):
-    """Mean row divergence of p and the N x N learned rows q of a rows
-    pass, and the pass's gradient. rows_pass(fill) runs the pass, which
-    hands fill each block's rows of q, to be given their rows of
-    dD/dQ / N (the diagonal, finite since p's is 0, left as it is)."""
+    """Mean row divergence of p and the N x N learned rows q of a
+    kernel-rows pass (the SNE and supcon steps), and the pass's gradient.
+    rows_pass(fill) runs the pass, which hands fill each block's rows of
+    q, to be given their rows of dD/dQ / N (the diagonal, finite since
+    p's is 0, left as it is)."""
     _check_kind(divergence)
     if p.shape != (n, n):
         raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
@@ -221,12 +224,67 @@ def encoder_value_and_grads(divergence, p, encoder, x, spec, buffers=None):
 
 def cluster_value_and_grads(divergence, p, head, x, buffers=None):
     """Loss and parameter gradients of a cluster-head step: the head's
-    forward, one cluster-rows pass, its backward."""
+    forward, the divergence and its backward on p's support (see
+    _cluster_support_pass), the head's backward."""
     x = np.asarray(x, dtype=float)
     phi = head_forward(head, x)
-    loss, dphi = _rows_loss_and_grad(divergence, p, len(phi), lambda fill: _cluster_rows_pass(phi, fill, buffers))
+    loss, dphi = _cluster_support_pass(divergence, p, phi, buffers)
     grads, _ = _head_backward(head, x, phi, dphi)
     return loss, grads
+
+
+def _cluster_support_pass(divergence, p, phi, buffers=None):
+    """Mean row divergence of p and q = cluster_transition(phi), and its
+    gradient in phi, with the divergence taken on p's support S alone.
+
+    Off S every kind's term is q f(0) and its derivative f(0)
+    (divergences._f_at_zero), so the loss is
+    (sum_S terms + f(0) (N - sum_S q)) / N. With h = (dD/dq - f(0)) / N on
+    S and 0 off it, and w_i = -sum_S h_ij q_ij / r_i, the dense chain's
+    M = (g - sum(g q)) / r (cluster_transition_grad) is w_i off the
+    diagonal plus h_ij / r_i, so (M + M.T) @ phi = (h @ phi) / r
+    + h.T @ (phi / r) + w_i (sum_j phi_j - 2 phi_i) + sum_k w_k phi_k.
+    Where q is exactly 0 off S, TV's derivative here is 1/2, its one-sided
+    derivative along q >= 0, where the dense chain's sign(0) gives 0. The
+    result agrees with the dense chain to roundoff, not bit for bit.
+
+    buffers[:3] (allocated here if None) are N x N: the overlaps phi phi.T,
+    h, and scratch for S's p, q, dD/dq and r when 4 |S| <= N * N (they
+    are allocated otherwise: a row with no neighbour in its batch is
+    uniform, so S can hold every off-diagonal entry).
+    """
+    _check_kind(divergence)
+    n = len(phi)
+    if p.shape != (n, n):
+        raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
+    G, h, scratch = np.empty((3, n, n)) if buffers is None else buffers[:3]
+    G, r = _cluster_overlaps(phi, G)
+    support = np.flatnonzero(p > 0.0)
+    rows = support // n
+    m = len(support)
+    parts = scratch.reshape(-1)[:4 * m].reshape(4, 1, m) if 4 * m <= scratch.size else np.empty((4, 1, m))
+    ps, qs, gs, tmp = parts
+    np.take(p, support, out=ps[0], mode="clip")
+    np.take(G, support, out=qs[0], mode="clip")
+    qs /= np.take(r, rows, out=tmp[0], mode="clip")
+    f0 = _f_at_zero(divergence)
+    loss = (DIVERGENCES[divergence](ps, qs, gs, tmp)[0] + f0 * (n - qs.sum())) / n
+    gs -= f0
+    gs /= n
+    w = np.bincount(rows, weights=np.multiply(gs, qs, out=tmp)[0], minlength=n)
+    w /= -r[:, 0]
+    h.fill(0.0)
+    np.put(h, support, gs[0])
+    # one C-wide temporary at a time, t
+    t = phi / r
+    dphi = h.T @ t
+    dphi += np.divide(np.matmul(h, phi, out=t), r, out=t)
+    np.multiply(phi, -2.0, out=t)
+    t += phi.sum(axis=0)
+    t *= w[:, None]
+    dphi += t
+    dphi += w @ phi
+    return float(loss), dphi
 
 
 def _train(cfg, model, batches, objective, evaluate):

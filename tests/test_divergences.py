@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bicon import divergence, divergence_grad_q, divergence_rows
-from bicon.divergences import EPS, KINDS, validate_probability_vector
+from bicon.divergences import EPS, KINDS, _f_at_zero, validate_probability_vector
 from bicon.errors import DimensionError, DomainError
 
 BOUNDS = {"TV": 1.0, "JSD": math.log(2.0), "Hellinger": 1.0}
@@ -53,6 +53,10 @@ class TestTaggedExamples:
 
 
 class TestGradExamples:
+    def test_f_at_zero(self):
+        want = {"KL": 0.0, "TV": 0.5, "JSD": 0.5 * math.log(2.0), "Hellinger": 0.5}
+        assert {kind: _f_at_zero(kind) for kind in KINDS} == want
+
     def test_hellinger_grad_at_optimum(self):
         p = np.array([0.4, 0.6])
         np.testing.assert_allclose(divergence_grad_q("Hellinger", p, p), 0.0, atol=1e-12)
@@ -305,3 +309,21 @@ class TestProperties:
             fwd = divergence_rows(kind, P, Q)[0]
             assert np.all(fwd <= BOUNDS[kind] + 1e-12), kind
             assert np.array_equal(fwd, divergence_rows(kind, Q, P)[0]), kind
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_row_pairs())
+    def test_entries_where_p_is_zero_follow_f_at_zero(self, pair):
+        # the cluster step takes each row's terms on p > 0 alone and adds
+        # f(0) times the rest of q's mass; a kind with no finite f(0)
+        # cannot run that step
+        P, Q = pair
+        off = P == 0.0
+        for kind in KINDS:
+            f0 = _f_at_zero(kind)
+            assert np.isfinite(f0), kind
+            values, grads = divergence_rows(kind, P, Q)
+            assert np.all(grads[off & (Q >= 2.0 * EPS)] == f0), kind
+            # a pair with p = q = 0 adds exactly 0, so these are the terms on p > 0
+            on_support = divergence_rows(kind, P, np.where(off, 0.0, Q))[0]
+            want = on_support + f0 * np.where(off, Q, 0.0).sum(axis=1)
+            assert np.all(np.abs(values - want) <= P.shape[1] * EPS), kind

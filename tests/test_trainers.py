@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from bicon import (
@@ -179,13 +179,27 @@ class TestFusedAssemblies:
         slab = np.full(4 * 16 * 16, np.nan)
         front = slab[:4 * 11 * 11].reshape(4, 11, 11)
         front[3] = p
+        first_loss, first = cluster_value_and_grads(div, p, head, x)
         for buffers, target in ((None, p), (np.empty((3, 11, 11)), p), (front, front[3]), (front, front[3])):
             fused_loss, grads = cluster_value_and_grads(div, target, head, x, buffers)
-            assert fused_loss == loss
+            assert fused_loss == first_loss
             assert grads.keys() == want.keys()
             for name in want:
-                assert np.array_equal(grads[name], want[name]), name
+                assert np.array_equal(grads[name], first[name]), name
         assert np.isnan(slab[4 * 11 * 11:]).all()
+        # the step works on p's support alone, so its sums are taken in
+        # another order than the dense chain's
+        assert_close_to_dense(first_loss, first, loss, want)
+
+
+def assert_close_to_dense(loss, grads, want_loss, want, loss_floor=0.0, grad_floor=0.0):
+    """A cluster step's loss within 1e-13 relative of the dense chain's,
+    and its whole gradient, its tensors taken together, within 1e-10 of
+    the largest entry of the dense one; each plus an absolute floor."""
+    assert abs(loss - want_loss) <= 1e-13 * abs(want_loss) + loss_floor
+    got = np.concatenate([grads[name].ravel() for name in want])
+    ref = np.concatenate([want[name].ravel() for name in want])
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref)) + grad_floor
 
 
 def dense_step(divergence, p, z, spec):
@@ -226,6 +240,22 @@ def step_gradcheck_error(grads, value, params):
     analytic = np.concatenate([grads[name].ravel() for name in params])
     numeric = np.concatenate([fd_grad(value, tensor).ravel() for tensor in params.values()])
     return rel_error(analytic, numeric)
+
+
+@st.composite
+def knn_batches(draw):
+    """N points of width 1 to 16 with exact duplicate rows (distance
+    ties), any valid k, and an epoch's shuffled batches of 4 to N points."""
+    n, d = draw(st.integers(5, 200)), draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    distinct = rng.normal(size=(draw(st.integers(1, n)), d))
+    if draw(st.booleans()):
+        distinct = np.round(distinct)
+    x = distinct[rng.integers(0, distinct.shape[0], size=n)]
+    k, size = draw(st.integers(1, n - 1)), draw(st.integers(4, n))
+    perm = rng.permutation(n)
+    batches = [perm[s:s + size] for s in range(0, n, size) if n - s >= 4]
+    return x, k, batches
 
 
 class TestBlockedStep:
@@ -323,8 +353,8 @@ class TestBlockedStep:
 
 
 class TestClusterStep:
-    """The cluster step's one pass: cluster_transition's rows, the
-    divergence and the backward in three batch x batch buffers."""
+    """The cluster step's one pass: the overlaps, then the divergence and
+    the backward on the target's support, in three batch x batch buffers."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 9), d=st.integers(1, 3), clusters=st.integers(2, 4),
@@ -338,6 +368,41 @@ class TestClusterStep:
         _, grads = cluster_value_and_grads(div, p, head, x, np.empty((3, n, n)))
         value = lambda: cluster_value_and_grads(div, p, head, x)[0]
         assert step_gradcheck_error(grads, value, head.params()) <= TOL
+
+    @settings(max_examples=100, deadline=None)
+    @given(inst=knn_batches(), clusters=st.integers(2, 6), div=st.sampled_from(DIVS),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_dense_chain_on_batch_targets(self, inst, clusters, div, seed):
+        # run_cluster's targets, rows with no neighbour in the batch uniform,
+        # in the front of a slab sized for the first batch
+        x, k, batches = inst
+        nbrs = _knn_graph(x, k)
+        pos = np.full(x.shape[0], -1, dtype=np.intp)
+        head = ClusterHead.init(x.shape[1], clusters, np.random.default_rng(seed))
+        slab = np.empty(4 * len(batches[0]) ** 2)
+        for idx in batches:
+            b = len(idx)
+            slab.fill(np.nan)
+            front = slab[:4 * b * b].reshape(4, b, b)
+            p, xb = _sub_rows(nbrs, idx, pos, front[3]), x[idx]
+            phi = head_forward(head, xb)
+            q = cluster_transition(phi)
+            if div == "TV" and np.any((p == 0.0) & (q == 0.0) & ~np.eye(b, dtype=bool)):
+                # the dense chain's derivative there is sign(0) / 2 = 0, the
+                # step's 1/2; the head's gradient is the same under either,
+                # since the difference reaches it through phi_i * phi_j = 0
+                event("TV with an off-support q of exactly 0")
+            loss, dq = loss_and_grad(div, p, q)
+            want, _ = head_backward(head, xb, cluster_transition_grad(phi, dq))
+            first_loss, first = cluster_value_and_grads(div, p, head, xb)
+            for buffers in (np.empty((3, b, b)), front):
+                fused_loss, grads = cluster_value_and_grads(div, p, head, xb, buffers)
+                assert fused_loss == first_loss
+                for name in want:
+                    assert np.array_equal(grads[name], first[name]), name
+            # where p = q the dense loss and gradient are themselves roundoff,
+            # and the step's 1 - sum_S q is a few ulps of 1
+            assert_close_to_dense(first_loss, first, loss, want, loss_floor=1e-15, grad_floor=1e-14)
 
     @pytest.mark.parametrize("div", DIVS)
     def test_one_step_at_256_points_peaks_under_half_a_batch_matrix(self, div):
@@ -567,22 +632,6 @@ def dense_sub_rows(p, idx):
         sub[rows, rows] = 0.0
         sums = sub.sum(axis=1)
     return sub / sums[:, None]
-
-
-@st.composite
-def knn_batches(draw):
-    """N points of width 1 to 16 with exact duplicate rows (distance
-    ties), any valid k, and an epoch's shuffled batches of 4 to N points."""
-    n, d = draw(st.integers(5, 200)), draw(st.integers(1, 16))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    distinct = rng.normal(size=(draw(st.integers(1, n)), d))
-    if draw(st.booleans()):
-        distinct = np.round(distinct)
-    x = distinct[rng.integers(0, distinct.shape[0], size=n)]
-    k, size = draw(st.integers(1, n - 1)), draw(st.integers(4, n))
-    perm = rng.permutation(n)
-    batches = [perm[s:s + size] for s in range(0, n, size) if n - s >= 4]
-    return x, k, batches
 
 
 class TestSubRows:
