@@ -137,8 +137,7 @@ def _execute_run(task, loss, data, out_dir, config_path):
     manifest["out"] = str(out_dir)
 
     LOG.info("run %s -> %s (hash %s)", task, out_dir, digest)
-    report, _ = {"sne": run_sne, "cluster": run_cluster, "supcon": run_supcon}[task](cfg, x, labels)
-    output = features(report.model, x)
+    report, output = {"sne": run_sne, "cluster": run_cluster, "supcon": run_supcon}[task](cfg, x, labels)
 
     rows = [("loss", report.losses[-1])]
     rows += sorted(report.snapshots[-1][1].items())
@@ -323,10 +322,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, DimensionError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (ConfigError, ParseError, DimensionError, DomainError, OSError, MemoryError) as exc:
+        # a MemoryError is a size in the input that no array can hold
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

@@ -25,12 +25,8 @@ from .kernels import (
     supervisory_labels,
     supervisory_sne,
 )
-from .model import ClusterHead, Encoder, backward, forward, head_backward, head_forward, softmax_rows
-from .trainers import (
-    cluster_value_and_grads,
-    encoder_value_and_grads,
-    sne_free_value_and_grads,
-)
+from .model import ClusterHead, Encoder, FreeEmbedding, forward, head_forward, softmax_rows
+from .trainers import cluster_loss, kernel_loss, value_and_grads
 
 TOL = 1e-5
 STEP = 1e-6
@@ -148,35 +144,26 @@ def check_model(seed=0, trials=10):
     the gradient it reports for its input."""
     results = []
     rng = np.random.default_rng([seed, 37])
-    for kind in ("linear", "mlp1"):
+    for name, init in (
+        ("encoder-linear", lambda: Encoder.init("linear", 3, 4, 2, rng)),
+        ("encoder-mlp1", lambda: Encoder.init("mlp1", 3, 4, 2, rng)),
+        ("cluster-head", lambda: ClusterHead.init(3, 4, rng)),
+    ):
         worst = 0.0
         for _ in range(trials):
-            enc = Encoder.init(kind, 3, 4, 2, rng)
+            model = init()
             x = rng.standard_normal((6, 3))
-            A = rng.standard_normal((6, 2))
+            out, cache = model.forward(x)
+            A = rng.standard_normal(out.shape)
 
             def value():
-                return float(np.sum(A * forward(enc, x)))
+                return float(np.sum(A * model.forward(x)[0]))
 
-            grads, dx = backward(enc, x, A)
-            for name, tensor in enc.params().items():
-                worst = max(worst, rel_error(grads[name], fd_grad(value, tensor)))
+            grads, dx = model.backward(x, cache, A)
+            for tensor_name, tensor in model.params().items():
+                worst = max(worst, rel_error(grads[tensor_name], fd_grad(value, tensor)))
             worst = max(worst, rel_error(dx, fd_grad(value, x)))
-        results.append((f"encoder-{kind}", worst))
-    worst = 0.0
-    for _ in range(trials):
-        head = ClusterHead.init(3, 4, rng)
-        x = rng.standard_normal((6, 3))
-        A = rng.standard_normal((6, 4))
-
-        def value():
-            return float(np.sum(A * head_forward(head, x)))
-
-        grads, dx = head_backward(head, x, A)
-        for name, tensor in head.params().items():
-            worst = max(worst, rel_error(grads[name], fd_grad(value, tensor)))
-        worst = max(worst, rel_error(dx, fd_grad(value, x)))
-    results.append(("cluster-head", worst))
+        results.append((name, worst))
     return results
 
 
@@ -206,17 +193,18 @@ def _e2e(div, seed, stream, build):
 
 
 def _sne_free(rng, spec):
-    p = supervisory_sne(rng.standard_normal((10, 3)), 4.0)
-    table = 0.8 * rng.standard_normal((10, 2))
-    assembly = lambda div: sne_free_value_and_grads(div, p, table, spec)
-    return p, learned_rows(table, spec), {"embedding": table}, assembly
+    x = rng.standard_normal((10, 3))
+    p = supervisory_sne(x, 4.0)
+    model = FreeEmbedding(0.8 * rng.standard_normal((10, 2)))
+    assembly = lambda div: value_and_grads(model, kernel_loss(div, spec), p, x)
+    return p, learned_rows(model.table, spec), model.params(), assembly
 
 
 def _sne_parametric(rng, spec):
     x = rng.standard_normal((10, 3))
     p = supervisory_sne(x, 4.0)
     enc = Encoder.init("mlp1", 3, 4, 2, rng)
-    assembly = lambda div: encoder_value_and_grads(div, p, enc, x, spec)
+    assembly = lambda div: value_and_grads(enc, kernel_loss(div, spec), p, x)
     return p, learned_rows(forward(enc, x), spec), enc.params(), assembly
 
 
@@ -224,7 +212,7 @@ def _supcon(rng, spec):
     x = rng.standard_normal((8, 3))
     enc = Encoder.init("mlp1", 3, 4, 3, rng)
     p = supervisory_labels(np.array([0, 0, 1, 1, 2, 2, 3, 3]))
-    assembly = lambda div: encoder_value_and_grads(div, p, enc, x, spec)
+    assembly = lambda div: value_and_grads(enc, kernel_loss(div, spec), p, x)
     return p, learned_rows(forward(enc, x), spec), enc.params(), assembly
 
 
@@ -232,7 +220,7 @@ def _cluster(rng):
     x = rng.standard_normal((9, 3))
     p = supervisory_knn(x, 3)
     head = ClusterHead.init(3, 4, rng)
-    assembly = lambda div: cluster_value_and_grads(div, p, head, x)
+    assembly = lambda div: value_and_grads(head, cluster_loss(div), p, x)
     return p, cluster_transition(head_forward(head, x)), head.params(), assembly
 
 

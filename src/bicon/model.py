@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import math
 import struct
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionError, NumericalError, ParseError
 
 CHECKPOINT_MAGIC = b"BICN1"
-
-_KIND_TAGS = {"free": 0, "linear": 1, "mlp1": 2, "head": 3}
-_TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
 
 def glorot_uniform(rng, fan_in, fan_out):
@@ -45,6 +43,16 @@ class FreeEmbedding:
 
     def params(self):
         return {"embedding": self.table}
+
+    def forward(self, x):
+        """The table, which must hold one row per point of x; no cache."""
+        if self.table.shape[0] != len(x):
+            raise DimensionError(f"free embedding has {len(self.table)} rows but the data has {len(x)} points")
+        return self.table, None
+
+    def backward(self, x, cache, dL_dout):
+        """The table's gradient is dL/dout itself; x has none."""
+        return {"embedding": dL_dout}, None
 
 
 class Encoder:
@@ -84,48 +92,46 @@ class Encoder:
             return {"W1": self.W1, "b1": self.b1}
         return {"W1": self.W1, "b1": self.b1, "W2": self.W2, "b2": self.b2}
 
+    def forward(self, x):
+        """The output for a batch of rows, and the hidden layer
+        tanh(x W1 + b1) that backward reuses (None for a linear encoder)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.W1.shape[0]:
+            raise DimensionError(f"input shape {x.shape} does not match W1 {self.W1.shape}")
+        a = x @ self.W1 + self.b1
+        if self.kind == "linear":
+            return a, None
+        h = np.tanh(a)
+        return h @ self.W2 + self.b2, h
+
+    def backward(self, x, h, dL_dout):
+        """Parameter gradients and dL/dx, given h from forward(x)."""
+        x = np.asarray(x, dtype=float)
+        g = np.asarray(dL_dout, dtype=float)
+        if g.ndim != 2 or g.shape[0] != x.shape[0]:
+            raise DimensionError(f"gradient shape {g.shape} does not match input {x.shape}")
+        if self.kind == "linear":
+            return {"W1": x.T @ g, "b1": g.sum(axis=0)}, g @ self.W1.T
+        dh = g @ self.W2.T
+        da = dh * (1.0 - h * h)  # tanh' = 1 - tanh^2
+        grads = {
+            "W1": x.T @ da,
+            "b1": da.sum(axis=0),
+            "W2": h.T @ g,
+            "b2": g.sum(axis=0),
+        }
+        return grads, da @ self.W1.T
+
 
 def forward(encoder, x):
     """Encoder output for a batch of rows."""
-    return _forward(encoder, x)[0]
-
-
-def _forward(encoder, x):
-    """forward's output and the hidden layer tanh(x W1 + b1) that _backward
-    reuses (None for a linear encoder)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != encoder.W1.shape[0]:
-        raise DimensionError(f"input shape {x.shape} does not match W1 {encoder.W1.shape}")
-    a = x @ encoder.W1 + encoder.b1
-    if encoder.kind == "linear":
-        return a, None
-    h = np.tanh(a)
-    return h @ encoder.W2 + encoder.b2, h
+    return encoder.forward(x)[0]
 
 
 def backward(encoder, x, dL_dout):
     """Parameter gradients and dL/dx for a batch; recomputes the forward
     pass's hidden layer."""
-    x = np.asarray(x, dtype=float)
-    return _backward(encoder, x, _forward(encoder, x)[1], dL_dout)
-
-
-def _backward(encoder, x, h, dL_dout):
-    """backward given h from _forward(encoder, x)."""
-    g = np.asarray(dL_dout, dtype=float)
-    if g.ndim != 2 or g.shape[0] != x.shape[0]:
-        raise DimensionError(f"gradient shape {g.shape} does not match input {x.shape}")
-    if encoder.kind == "linear":
-        return {"W1": x.T @ g, "b1": g.sum(axis=0)}, g @ encoder.W1.T
-    dh = g @ encoder.W2.T
-    da = dh * (1.0 - h * h)  # tanh' = 1 - tanh^2
-    grads = {
-        "W1": x.T @ da,
-        "b1": da.sum(axis=0),
-        "W2": h.T @ g,
-        "b2": g.sum(axis=0),
-    }
-    return grads, da @ encoder.W1.T
+    return encoder.backward(x, encoder.forward(x)[1], dL_dout)
 
 
 class ClusterHead:
@@ -144,26 +150,41 @@ class ClusterHead:
     def params(self):
         return {"W": self.W, "b": self.b}
 
+    def forward(self, x):
+        """Soft assignment rows, each summing to 1 for arbitrary finite
+        input; they are also the cache backward reuses."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.W.shape[0]:
+            raise DimensionError(f"input shape {x.shape} does not match W {self.W.shape}")
+        probs = softmax_rows(x @ self.W + self.b)
+        return probs, probs
+
+    def backward(self, x, probs, dL_dprobs):
+        """Parameter gradients and dL/dx through the softmax, given probs
+        from forward(x)."""
+        x = np.asarray(x, dtype=float)
+        g = np.asarray(dL_dprobs, dtype=float)
+        if g.shape != probs.shape:
+            raise DimensionError(f"gradient shape {g.shape} does not match assignments {probs.shape}")
+        dlogits = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
+        return {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}, dlogits @ self.W.T
+
 
 def head_forward(head, x):
     """Soft assignment rows; each row sums to 1 for arbitrary finite input."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != head.W.shape[0]:
-        raise DimensionError(f"input shape {x.shape} does not match W {head.W.shape}")
-    return softmax_rows(x @ head.W + head.b)
+    return head.forward(x)[0]
+
+
+def head_backward(head, x, dL_dprobs):
+    """Parameter gradients and dL/dx through the softmax head; runs
+    head_forward first."""
+    return head.backward(x, head.forward(x)[1], dL_dprobs)
 
 
 def features(model, x):
-    """The rows a model's metrics score for the points x: a free
-    embedding's table, which must hold one row per point, an encoder's
-    forward or a head's head_forward."""
-    if model.kind == "free":
-        if model.table.shape[0] != len(x):
-            raise DimensionError(f"free embedding has {len(model.table)} rows but the data has {len(x)} points")
-        return model.table
-    if model.kind == "head":
-        return head_forward(model, x)
-    return forward(model, x)
+    """The rows a model's metrics score for the points x: its forward's
+    output (a free embedding's table, which must hold one row per point)."""
+    return model.forward(x)[0]
 
 
 def softmax_rows(logits):
@@ -171,22 +192,6 @@ def softmax_rows(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     w = np.exp(shifted)
     return w / w.sum(axis=1, keepdims=True)
-
-
-def head_backward(head, x, dL_dprobs):
-    """Parameter gradients and dL/dx through the softmax head; runs
-    head_forward first."""
-    x = np.asarray(x, dtype=float)
-    return _head_backward(head, x, head_forward(head, x), dL_dprobs)
-
-
-def _head_backward(head, x, probs, dL_dprobs):
-    """head_backward given probs = head_forward(head, x) from the forward pass."""
-    g = np.asarray(dL_dprobs, dtype=float)
-    if g.shape != probs.shape:
-        raise DimensionError(f"gradient shape {g.shape} does not match assignments {probs.shape}")
-    dlogits = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
-    return {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}, dlogits @ head.W.T
 
 
 class Adam:
@@ -223,22 +228,14 @@ class Adam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def _model_from_tensors(kind, tensors):
-    if kind == "free":
-        (table,) = tensors
-        return FreeEmbedding(table)
-    if kind == "linear":
-        W1, b1 = tensors
-        return Encoder("linear", W1, b1)
-    if kind == "mlp1":
-        W1, b1, W2, b2 = tensors
-        return Encoder("mlp1", W1, b1, W2, b2)
-    W, b = tensors
-    return ClusterHead(W, b)
-
-
-# tensor ranks per model kind, in params() order
-_TENSOR_RANKS = {"free": (2,), "linear": (2, 1), "mlp1": (2, 1, 2, 1), "head": (2, 1)}
+# each checkpoint kind tag: the model kind, its tensors' ranks in
+# params() order, and the constructor that takes those tensors
+_CHECKPOINT_KINDS = {
+    0: ("free", (2,), FreeEmbedding),
+    1: ("linear", (2, 1), partial(Encoder, "linear")),
+    2: ("mlp1", (2, 1, 2, 1), partial(Encoder, "mlp1")),
+    3: ("head", (2, 1), ClusterHead),
+}
 
 
 def save_checkpoint(path, model):
@@ -247,7 +244,7 @@ def save_checkpoint(path, model):
     tensors = list(model.params().values())
     with open(path, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<q", _KIND_TAGS[model.kind]))
+        f.write(struct.pack("<q", next(tag for tag, (kind, _, _) in _CHECKPOINT_KINDS.items() if kind == model.kind)))
         f.write(struct.pack("<q", len(tensors)))
         for a in tensors:
             f.write(struct.pack("<q", a.ndim))
@@ -273,10 +270,9 @@ def load_checkpoint(path):
         return vals
 
     (tag,) = read_ints(1)
-    if tag not in _TAG_KINDS:
+    if tag not in _CHECKPOINT_KINDS:
         raise ParseError(f"{path}: unknown model kind tag {tag}")
-    kind = _TAG_KINDS[tag]
-    ranks = _TENSOR_RANKS[kind]
+    kind, ranks, make = _CHECKPOINT_KINDS[tag]
     (count,) = read_ints(1)
     if count != len(ranks):
         raise ParseError(f"{path}: expected {len(ranks)} tensors for {kind!r}, header says {count}")
@@ -292,8 +288,9 @@ def load_checkpoint(path):
             raise ParseError(f"{path}: tensor shapes {prev} and {shape} do not fit together")
     tensors = []
     for shape in shapes:
-        if any(dim < 0 for dim in shape):
-            raise ParseError(f"{path}: negative dimension in tensor shape {shape}")
+        # no run makes an empty tensor, and an empty head has no assignment
+        if any(dim < 1 for dim in shape):
+            raise ParseError(f"{path}: zero or negative dimension in tensor shape {shape}")
         # Python ints: a declared shape's byte count must not wrap around
         size = math.prod(shape)
         if 8 * size > len(blob) - offset:
@@ -306,4 +303,4 @@ def load_checkpoint(path):
         offset = end
     if offset != len(blob):
         raise ParseError(f"{path}: {len(blob) - offset} trailing bytes after payload")
-    return _model_from_tensors(kind, tensors)
+    return make(*tensors)

@@ -4,8 +4,10 @@ ones under a chosen divergence.
 Three engines share one loss, the mean over points i of
 D(p(.|i) || q(.|i)) with a uniform marginal over i, gradients flowing
 only into q, and one loop, _train: batches of (target p, inputs), one
-Adam step per batch, metric snapshots every eval_every epochs. Each
-engine supplies only its target, model, batches and metrics. run_sne
+value_and_grads step and one Adam step per batch, metric snapshots every
+eval_every epochs. Each engine supplies only its target, model, loss,
+batches and metrics, and returns the report and the model's features
+on its points. run_sne
 embeds points in 2-D against Gaussian conditional rows, one full batch
 per epoch; run_cluster fits a softmax head whose assignment overlaps
 match a k-nearest-neighbor graph; run_supcon fits an encoder whose
@@ -34,7 +36,7 @@ from .kernels import (
     supervisory_sne,
     validate_distribution,
 )
-from .model import Adam, ClusterHead, Encoder, FreeEmbedding, _backward, _forward, _head_backward, features, head_forward
+from .model import Adam, ClusterHead, Encoder, FreeEmbedding, features
 
 LOG = logging.getLogger("bicon.trainers")
 
@@ -175,62 +177,51 @@ def loss_and_grad(divergence, p, q):
     return float(values.mean()), g
 
 
-# The assemblies below run each forward pass once. The SNE and supcon
-# steps hand its results to one rows pass, kernels._kernel_rows_pass, which
-# fills in the divergence through _rows_loss_and_grad; the cluster step
-# takes the divergence and its backward on its target's support
-# (_cluster_support_pass). p must be a valid transition matrix: its
-# builders make it so (property tests check each builder on random
-# shapes), and run_sne validates its one p per run. buffers are the
-# pass's, allocated once per run, or None: one per call.
+def value_and_grads(model, loss, p, x):
+    """Loss and the gradient of each of model.params() for one step: the
+    model's forward on x, loss(p, out) -> (value, dL/dout), the model's
+    backward, which reuses the forward's cache."""
+    out, cache = model.forward(x)
+    value, dL_dout = loss(p, out)
+    grads, _ = model.backward(x, cache, dL_dout)
+    return value, grads
 
 
-def _rows_loss_and_grad(divergence, p, n, rows_pass):
-    """Mean row divergence of p and the N x N learned rows q of a
-    kernel-rows pass (the SNE and supcon steps), and the pass's gradient.
-    rows_pass(fill) runs the pass, which hands fill each block's rows of
-    q, to be given their rows of dD/dQ / N (the diagonal, finite since
-    p's is 0, left as it is)."""
+# The two losses below are a step's whole divergence. p must be a valid
+# transition matrix: its builders make it so (property tests check each
+# builder on random shapes), and run_sne validates its one p per run.
+# buffers are the loss's, allocated once per run, or None: one per call.
+
+
+def kernel_loss(divergence, spec, buffers=None):
+    """loss(p, z) of the SNE and supcon steps: the mean row divergence of p
+    and the N x N learned rows q of z under spec, from one kernel-rows
+    pass, and its gradient in z. The pass hands fill each block's rows of
+    q, to be given their rows of dD/dQ / N (the diagonal, finite since p's
+    is 0, left as it is)."""
     _check_kind(divergence)
-    if p.shape != (n, n):
-        raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
     kind = DIVERGENCES[divergence]
-    values = np.empty(n)
 
-    def fill(start, q, g, tmp):
-        values[start:start + len(q)] = kind(p[start:start + len(q)], q, g, tmp)
-        g /= n
+    def loss(p, z):
+        n = len(z)
+        if p.shape != (n, n):
+            raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
+        values = np.empty(n)
 
-    grad = rows_pass(fill)
-    return float(values.mean()), grad
+        def fill(start, q, g, tmp):
+            values[start:start + len(q)] = kind(p[start:start + len(q)], q, g, tmp)
+            g /= n
 
+        grad = _kernel_rows_pass(z, spec, fill, buffers)
+        return float(values.mean()), grad
 
-def sne_free_value_and_grads(divergence, p, table, spec, buffers=None):
-    """Loss and embedding gradient of a free SNE step: one kernel-rows
-    pass, the backward kernel_rows_grad runs, with no N x N temporary."""
-    loss, dz = _rows_loss_and_grad(divergence, p, len(table), lambda fill: _kernel_rows_pass(table, spec, fill, buffers))
-    return loss, {"embedding": dz}
-
-
-def encoder_value_and_grads(divergence, p, encoder, x, spec, buffers=None):
-    """Loss and parameter gradients of an encoder step (parametric SNE,
-    supcon): the encoder's forward, one kernel-rows pass, its backward."""
-    x = np.asarray(x, dtype=float)
-    z, h = _forward(encoder, x)
-    loss, dz = _rows_loss_and_grad(divergence, p, len(z), lambda fill: _kernel_rows_pass(z, spec, fill, buffers))
-    grads, _ = _backward(encoder, x, h, dz)
-    return loss, grads
+    return loss
 
 
-def cluster_value_and_grads(divergence, p, head, x, buffers=None):
-    """Loss and parameter gradients of a cluster-head step: the head's
-    forward, the divergence and its backward on p's support (see
-    _cluster_support_pass), the head's backward."""
-    x = np.asarray(x, dtype=float)
-    phi = head_forward(head, x)
-    loss, dphi = _cluster_support_pass(divergence, p, phi, buffers)
-    grads, _ = _head_backward(head, x, phi, dphi)
-    return loss, grads
+def cluster_loss(divergence, buffers=None):
+    """loss(p, phi) of the cluster step: the divergence and its backward
+    on p's support (_cluster_support_pass)."""
+    return lambda p, phi: _cluster_support_pass(divergence, p, phi, buffers)
 
 
 def _cluster_support_pass(divergence, p, phi, buffers=None):
@@ -248,16 +239,17 @@ def _cluster_support_pass(divergence, p, phi, buffers=None):
     derivative along q >= 0, where the dense chain's sign(0) gives 0. The
     result agrees with the dense chain to roundoff, not bit for bit.
 
-    buffers[:3] (allocated here if None) are N x N: the overlaps phi phi.T,
-    h, and scratch for S's p, q, dD/dq and r when 4 |S| <= N * N (they
-    are allocated otherwise: a row with no neighbour in its batch is
-    uniform, so S can hold every off-diagonal entry).
+    The first 3 N^2 floats of buffers (allocated here if None) make three
+    N x N parts: the overlaps phi phi.T, h, and scratch for S's p, q,
+    dD/dq and r when 4 |S| <= N * N (they are allocated otherwise: a row
+    with no neighbour in its batch is uniform, so S can hold every
+    off-diagonal entry).
     """
     _check_kind(divergence)
     n = len(phi)
     if p.shape != (n, n):
         raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
-    G, h, scratch = np.empty((3, n, n)) if buffers is None else buffers[:3]
+    G, h, scratch = np.empty((3, n, n)) if buffers is None else buffers.reshape(-1)[:3 * n * n].reshape(3, n, n)
     G, r = _cluster_overlaps(phi, G)
     support = np.flatnonzero(p > 0.0)
     rows = support // n
@@ -287,12 +279,12 @@ def _cluster_support_pass(divergence, p, phi, buffers=None):
     return float(loss), dphi
 
 
-def _train(cfg, model, batches, objective, evaluate):
+def _train(cfg, model, batches, loss, evaluate):
     """The training loop of every engine.
 
     Each epoch, batches() yields (p, inputs) pairs, p valid by construction;
-    objective(p, inputs) returns the loss and the gradient of each of
-    model.params(), and Adam takes one step. evaluate() gives the metric
+    value_and_grads(model, loss, p, inputs) gives the step's loss and
+    gradients, and Adam takes one step. evaluate() gives the metric
     dict snapshotted after every eval_every-th epoch and the last.
     Overflow anywhere in a step aborts with the step index and divergence
     tag attached.
@@ -306,10 +298,10 @@ def _train(cfg, model, batches, objective, evaluate):
         first = step
         for p, inputs in batches():
             try:
-                loss, grads = objective(p, inputs)
-                if not np.isfinite(loss):
+                value, grads = value_and_grads(model, loss, p, inputs)
+                if not np.isfinite(value):
                     raise NumericalError("non-finite loss")
-                report.losses.append(loss)
+                report.losses.append(value)
                 for name, g in grads.items():
                     report.grad_norms[name].append(float(np.sqrt(np.sum(g * g))))
                 opt.step(_clip(grads, cfg.grad_clip))
@@ -325,7 +317,7 @@ def _train(cfg, model, batches, objective, evaluate):
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             metrics = evaluate()
             report.snapshots.append((step - 1, metrics))
-            LOG.info("%s epoch %d loss %.6g %s", cfg.task, epoch, loss, metrics)
+            LOG.info("%s epoch %d loss %.6g %s", cfg.task, epoch, value, metrics)
     return report
 
 
@@ -371,12 +363,11 @@ def run_sne(config, x, labels=None):
             model = FreeEmbedding(x.copy())
         else:
             model = FreeEmbedding.init(x.shape[0], cfg.out_dim, rng, scale=cfg.init_scale)
-        objective = lambda p, _: sne_free_value_and_grads(cfg.divergence, p, model.table, spec, buffers)
     else:
         model = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
-        objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, model, xb, spec, buffers)
     names = ("knn", "silhouette") if labels is not None and len(np.unique(labels)) >= 2 else ("knn",)
-    report = _train(cfg, model, lambda: [(p, x)], objective, _snapshot(model, x, labels, names, cfg.seed))
+    loss = kernel_loss(cfg.divergence, spec, buffers)
+    report = _train(cfg, model, lambda: [(p, x)], loss, _snapshot(model, x, labels, names, cfg.seed))
     return report, features(model, x)
 
 
@@ -427,17 +418,17 @@ def run_cluster(config, x, labels=None):
     head = ClusterHead.init(x.shape[1], cfg.clusters, np.random.default_rng([cfg.seed, 1]))
     shuffle_rng = np.random.default_rng([cfg.seed, 7])
     slab = np.empty(4 * min(cfg.batch_size, x.shape[0]) ** 2)
-    front = lambda b: slab[:4 * b * b].reshape(4, b, b)
 
     def batches():
         perm = shuffle_rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
-            if batch.shape[0] >= 4:
-                yield _sub_rows(nbrs, batch, pos, front(batch.shape[0])[3]), x[batch]
+            b = batch.shape[0]
+            if b >= 4:
+                yield _sub_rows(nbrs, batch, pos, slab[3 * b * b:4 * b * b].reshape(b, b)), x[batch]
 
-    objective = lambda p, xb: cluster_value_and_grads(cfg.divergence, p, head, xb, front(xb.shape[0]))
-    report = _train(cfg, head, batches, objective, _snapshot(head, x, labels, ("hungarian",), cfg.seed))
+    loss = cluster_loss(cfg.divergence, slab)
+    report = _train(cfg, head, batches, loss, _snapshot(head, x, labels, ("hungarian",), cfg.seed))
     return report, features(head, x)
 
 
@@ -506,12 +497,12 @@ def run_supcon(config, x, labels):
 
     # every balanced batch has batch_size rows, all drawn from train_idx
     buffers = _kernel_rows_buffers(min(cfg.batch_size, train_idx.shape[0]))
-    objective = lambda p, xb: encoder_value_and_grads(cfg.divergence, p, encoder, xb, spec, buffers)
-    report = _train(cfg, encoder, batches, objective, _snapshot(encoder, x, y, ("knn",), cfg.seed))
+    loss = kernel_loss(cfg.divergence, spec, buffers)
+    report = _train(cfg, encoder, batches, loss, _snapshot(encoder, x, y, ("knn",), cfg.seed))
     chance = 1.0 / np.unique(y).shape[0]
     knn = [metrics["knn"] for _, metrics in report.snapshots]
     report.collapsed = _collapsed(knn, chance, cfg.collapse_arm, cfg.collapse_trip, cfg.collapse_window)
-    return report, encoder
+    return report, features(encoder, x)
 
 
 def grad_norm_series(report, window=50):

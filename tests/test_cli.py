@@ -24,8 +24,12 @@ from bicon.cli import (
 )
 from bicon.data import DatasetSpec, LabeledMatrix, generate, save_binary, save_csv
 from bicon.errors import ConfigError
+from bicon.evaluation import METRICS
 from bicon.gradcheck import SCOPES, TOL, run_scope
-from bicon.model import CHECKPOINT_MAGIC, FreeEmbedding, save_checkpoint
+from bicon.model import CHECKPOINT_MAGIC, ClusterHead, FreeEmbedding, save_checkpoint
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_json(path, payload):
@@ -317,6 +321,33 @@ class TestRunCommand:
     def test_sne_on_overflowing_features_exits_2(self, tmp_path, capsys):
         self._run_on_overflowing_features(tmp_path, capsys, "sne", sne_config(mode="parametric"))
 
+    @pytest.mark.parametrize("task, config", [
+        ("sne", sne_config(data_n=10**15)),
+        ("supcon", supcon_config(hidden=10**15)),
+        ("cluster", cluster_config(clusters=10**15)),
+    ], ids=["data_n", "supcon-hidden", "clusters"])
+    def test_size_no_array_can_hold_exits_2(self, tmp_path, capsys, task, config):
+        # the allocation fails at once, before any memory is touched
+        cfg = write_json(tmp_path / "cfg.json", config)
+        rc = main(["run", task, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "error: Unable to allocate" in capsys.readouterr().err
+
+    def test_cluster_run_runs_the_head_once_per_step_and_snapshot(self, tmp_path, monkeypatch):
+        # 60 epochs of 4 batches, 60 snapshots and the run's features: the
+        # output comes from the engine, not from a second forward pass
+        calls = []
+        real_forward = ClusterHead.forward
+
+        def counting(self, x):
+            calls.append(len(x))
+            return real_forward(self, x)
+
+        monkeypatch.setattr(ClusterHead, "forward", counting)
+        rc = main(["run", "cluster", "--config", str(CONFIGS / "cluster_blobs.json"), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_OK
+        assert len(calls) == 301
+
     def test_overflow_aborts_with_numerical_exit(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", sne_config(divergence="KL", lr=1e155))
         rc = main(["run", "sne", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -569,6 +600,16 @@ class TestEvalCommand:
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_path), "--metrics", "knn"])
         assert rc == EXIT_CONFIG
         assert "truncated checkpoint payload" in capsys.readouterr().err
+
+    def test_eval_of_a_zero_cluster_head_exits_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "head.bicn"
+        save_checkpoint(ckpt, ClusterHead(np.ones((2, 0)), np.zeros(0)))
+        data_path = tmp_path / "data.csv"
+        save_csv(generate(DatasetSpec(n=12, d=2, classes=2, seed=0)), data_path)
+        for metric in METRICS:
+            rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_path), "--metrics", metric])
+            assert rc == EXIT_CONFIG
+            assert "zero or negative dimension" in capsys.readouterr().err
 
     @pytest.mark.parametrize("case, message", [
         ("rank-1 table", "must have rank 2"),

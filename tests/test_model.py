@@ -245,6 +245,35 @@ class TestCheckpoints:
         with pytest.raises(ParseError, match="negative dimension"):
             load_checkpoint(path)
 
+    def test_zero_dimension_is_a_parse_error(self, tmp_path):
+        # a head with no cluster: W of shape (3, 0), b of shape (0,)
+        path = tmp_path / "zero.bicn"
+        save_checkpoint(path, ClusterHead(np.ones((3, 0)), np.zeros(0)))
+        with pytest.raises(ParseError, match="zero or negative dimension"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("maker, tag", [
+        (lambda rng: FreeEmbedding(rng.normal(size=(7, 2))), 0),
+        (lambda rng: Encoder.init("linear", 3, 0, 2, rng), 1),
+        (lambda rng: Encoder.init("mlp1", 4, 6, 3, rng), 2),
+        (lambda rng: ClusterHead.init(5, 3, rng), 3),
+    ], ids=["free", "linear", "mlp1", "head"])
+    def test_kind_tag_bytes(self, maker, tag, tmp_path):
+        path = tmp_path / "model.bicn"
+        save_checkpoint(path, maker(np.random.default_rng(12)))
+        blob = path.read_bytes()
+        assert blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 8] == struct.pack("<q", tag)
+
+    @pytest.mark.parametrize("tag", [4, -1])
+    def test_unknown_kind_tag_is_a_parse_error(self, tag, tmp_path):
+        path = tmp_path / "model.bicn"
+        save_checkpoint(path, ClusterHead.init(5, 3, np.random.default_rng(13)))
+        blob = bytearray(path.read_bytes())
+        blob[len(CHECKPOINT_MAGIC):len(CHECKPOINT_MAGIC) + 8] = struct.pack("<q", tag)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ParseError, match=f"unknown model kind tag {tag}"):
+            load_checkpoint(path)
+
     def test_wrong_rank_is_a_parse_error(self, tmp_path):
         # kind tag 0 (free), one tensor of rank 1 with 3 entries
         path = tmp_path / "rank1.bicn"

@@ -30,14 +30,14 @@ from bicon.kernels import (
     supervisory_sne,
     validate_distribution,
 )
-from bicon.model import ClusterHead, Encoder, backward, forward, head_backward, head_forward
+from bicon.model import ClusterHead, Encoder, FreeEmbedding, backward, forward, head_backward, head_forward
 from bicon.trainers import (
     _collapsed,
     _sub_rows,
-    cluster_value_and_grads,
-    encoder_value_and_grads,
+    cluster_loss,
+    kernel_loss,
     resolve_config,
-    sne_free_value_and_grads,
+    value_and_grads,
 )
 
 DIVS = ("KL", "TV", "JSD", "Hellinger")
@@ -124,7 +124,7 @@ class TestFusedAssemblies:
         table = rng.normal(size=(12, 2))
         spec = KernelSpec(family, 1.5)
         loss, dq = loss_and_grad(div, p, learned_rows(table, spec))
-        fused_loss, grads = sne_free_value_and_grads(div, p, table, spec)
+        fused_loss, grads = value_and_grads(FreeEmbedding(table), kernel_loss(div, spec), p, table)
         assert fused_loss == loss
         assert np.array_equal(grads["embedding"], kernel_rows_grad(table, spec, dq))
 
@@ -139,7 +139,7 @@ class TestFusedAssemblies:
         z = forward(enc, x)
         loss, dq = loss_and_grad(div, p, learned_rows(z, spec))
         want, _ = backward(enc, x, kernel_rows_grad(z, spec, dq))
-        fused_loss, grads = encoder_value_and_grads(div, p, enc, x, spec)
+        fused_loss, grads = value_and_grads(enc, kernel_loss(div, spec), p, x)
         assert fused_loss == loss
         assert grads.keys() == want.keys()
         for name in want:
@@ -158,7 +158,7 @@ class TestFusedAssemblies:
         z = forward(enc, x)
         loss, dq = loss_and_grad("TV", p, learned_rows(z, spec))
         want, _ = backward(enc, x, kernel_rows_grad(z, spec, dq))
-        fused_loss, grads = encoder_value_and_grads("TV", p, enc, x, spec)
+        fused_loss, grads = value_and_grads(enc, kernel_loss("TV", spec), p, x)
         assert fused_loss == loss
         assert grads.keys() == want.keys()
         for name in want:
@@ -179,9 +179,9 @@ class TestFusedAssemblies:
         slab = np.full(4 * 16 * 16, np.nan)
         front = slab[:4 * 11 * 11].reshape(4, 11, 11)
         front[3] = p
-        first_loss, first = cluster_value_and_grads(div, p, head, x)
+        first_loss, first = value_and_grads(head, cluster_loss(div), p, x)
         for buffers, target in ((None, p), (np.empty((3, 11, 11)), p), (front, front[3]), (front, front[3])):
-            fused_loss, grads = cluster_value_and_grads(div, target, head, x, buffers)
+            fused_loss, grads = value_and_grads(head, cluster_loss(div, buffers), target, x)
             assert fused_loss == first_loss
             assert grads.keys() == want.keys()
             for name in want:
@@ -288,7 +288,7 @@ class TestBlockedStep:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
             mp.setattr(bicon.trainers, "_kernel_rows_pass", recording)
-            loss, grads = sne_free_value_and_grads(div, p, z, spec)
+            loss, grads = value_and_grads(FreeEmbedding(z), kernel_loss(div, spec), p, z)
         assert blocks == [block] * (n // block) + [n % block]
         want_loss, want_q, want_grad = dense_step(div, p, z, spec)
         assert loss == want_loss
@@ -309,8 +309,8 @@ class TestBlockedStep:
         assume(_tv_margin_ok(div, p, learned_rows(z, spec)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
-            _, grads = sne_free_value_and_grads(div, p, z, spec)
-            numeric = fd_grad(lambda: sne_free_value_and_grads(div, p, z, spec)[0], z)
+            _, grads = value_and_grads(FreeEmbedding(z), kernel_loss(div, spec), p, z)
+            numeric = fd_grad(lambda: value_and_grads(FreeEmbedding(z), kernel_loss(div, spec), p, z)[0], z)
         assert rel_error(grads["embedding"], numeric) <= TOL
 
     @settings(max_examples=150, deadline=None)
@@ -332,10 +332,10 @@ class TestBlockedStep:
         enc = Encoder.init(kind, d, 4, 3, rng)
         spec = KernelSpec(family, 1.25)
         assume(_tv_margin_ok(div, p, learned_rows(forward(enc, x), spec)))
-        value = lambda: encoder_value_and_grads(div, p, enc, x, spec)[0]
+        value = lambda: value_and_grads(enc, kernel_loss(div, spec), p, x)[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
-            _, grads = encoder_value_and_grads(div, p, enc, x, spec)
+            _, grads = value_and_grads(enc, kernel_loss(div, spec), p, x)
             assert step_gradcheck_error(grads, value, enc.params()) <= TOL
 
     def test_one_step_at_2000_points_peaks_under_half_a_dense_matrix(self):
@@ -345,7 +345,7 @@ class TestBlockedStep:
         table = 0.3 * rng.normal(size=(n, 2))
         tracemalloc.start()
         try:
-            sne_free_value_and_grads("TV", p, table, KernelSpec("distance", 4.0))
+            value_and_grads(FreeEmbedding(table), kernel_loss("TV", KernelSpec("distance", 4.0)), p, table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -365,8 +365,8 @@ class TestClusterStep:
         p, x = step_instance(n, d, sparse, seed, scale=0.5)
         head = ClusterHead.init(d, clusters, np.random.default_rng(seed))
         assume(_tv_margin_ok(div, p, cluster_transition(head_forward(head, x))))
-        _, grads = cluster_value_and_grads(div, p, head, x, np.empty((3, n, n)))
-        value = lambda: cluster_value_and_grads(div, p, head, x)[0]
+        _, grads = value_and_grads(head, cluster_loss(div, np.empty((3, n, n))), p, x)
+        value = lambda: value_and_grads(head, cluster_loss(div), p, x)[0]
         assert step_gradcheck_error(grads, value, head.params()) <= TOL
 
     @settings(max_examples=100, deadline=None)
@@ -394,9 +394,9 @@ class TestClusterStep:
                 event("TV with an off-support q of exactly 0")
             loss, dq = loss_and_grad(div, p, q)
             want, _ = head_backward(head, xb, cluster_transition_grad(phi, dq))
-            first_loss, first = cluster_value_and_grads(div, p, head, xb)
+            first_loss, first = value_and_grads(head, cluster_loss(div), p, xb)
             for buffers in (np.empty((3, b, b)), front):
-                fused_loss, grads = cluster_value_and_grads(div, p, head, xb, buffers)
+                fused_loss, grads = value_and_grads(head, cluster_loss(div, buffers), p, xb)
                 assert fused_loss == first_loss
                 for name in want:
                     assert np.array_equal(grads[name], first[name]), name
@@ -414,7 +414,7 @@ class TestClusterStep:
         buffers = np.empty((3, b, b))
         tracemalloc.start()
         try:
-            cluster_value_and_grads(div, p, head, x, buffers)
+            value_and_grads(head, cluster_loss(div, buffers), p, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -669,19 +669,19 @@ class TestRunSupcon:
         cfg = {"task": "supcon", "divergence": "KL", "kernel": "angular",
                "lr": 0.0, "epochs": 3, "batch_size": 12, "hidden": 6,
                "out_dim": 4, "seed": 0}
-        report, encoder = run_supcon(cfg, ds.features, ds.labels)
-        short_report, short_encoder = run_supcon({**cfg, "epochs": 1}, ds.features, ds.labels)
-        for key, tensor in encoder.params().items():
-            np.testing.assert_array_equal(tensor, short_encoder.params()[key])
+        report, _ = run_supcon(cfg, ds.features, ds.labels)
+        short_report, _ = run_supcon({**cfg, "epochs": 1}, ds.features, ds.labels)
+        for key, tensor in report.model.params().items():
+            np.testing.assert_array_equal(tensor, short_report.model.params()[key])
 
     def test_deterministic(self):
         ds = toy_blobs(n=32, classes=2, seed=4)
         cfg = {"task": "supcon", "divergence": "TV", "kernel": "distance",
                "lr": 0.01, "epochs": 3, "batch_size": 16, "hidden": 8,
                "out_dim": 4, "seed": 9}
-        a_report, enc_a = run_supcon(cfg, ds.features, ds.labels)
-        b_report, enc_b = run_supcon(cfg, ds.features, ds.labels)
-        np.testing.assert_array_equal(forward(enc_a, ds.features), forward(enc_b, ds.features))
+        a_report, _ = run_supcon(cfg, ds.features, ds.labels)
+        b_report, _ = run_supcon(cfg, ds.features, ds.labels)
+        np.testing.assert_array_equal(forward(a_report.model, ds.features), forward(b_report.model, ds.features))
         assert a_report.losses == b_report.losses
 
     def test_batches_are_class_balanced(self):
