@@ -322,8 +322,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ParseError, DimensionError, DomainError, OSError, MemoryError) as exc:
-        # a MemoryError is a size in the input that no array can hold
+    except (ConfigError, ParseError, DimensionError, DomainError, OSError, MemoryError, ValueError) as exc:
+        # a MemoryError, or numpy's "array is too big", is a size in the input that no array can hold
+        if type(exc) is ValueError and not str(exc).startswith("array is too big"):
+            raise  # any other plain ValueError is a fault, and keeps its traceback
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:

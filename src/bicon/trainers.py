@@ -1,17 +1,16 @@
 """Training engines that push learned transition rows toward supervisory
 ones under a chosen divergence.
 
-Three engines share one loss, the mean over points i of
-D(p(.|i) || q(.|i)) with a uniform marginal over i, gradients flowing
-only into q, and one loop, _train: batches of (target p, inputs), one
-value_and_grads step and one Adam step per batch, metric snapshots every
-eval_every epochs. Each engine supplies only its target, model, loss,
-batches and metrics, and returns the report and the model's features
-on its points. run_sne
-embeds points in 2-D against Gaussian conditional rows, one full batch
-per epoch; run_cluster fits a softmax head whose assignment overlaps
-match a k-nearest-neighbor graph; run_supcon fits an encoder whose
-kernel rows match shared-label rows on class-balanced batches.
+Three engines share one loss, the mean over points i of D(p(.|i) || q(.|i))
+with a uniform marginal over i, gradients flowing only into q, and one
+loop, _train: batches of (target p, inputs), one value_and_grads step and
+one Adam step per batch, metric snapshots every eval_every epochs. Each
+engine supplies only its target, model, loss, batches and metrics, and
+returns the report and the model's features on its points. run_sne embeds
+points in 2-D against Gaussian conditional rows, one full batch per epoch;
+run_cluster fits a softmax head whose assignment overlaps match a
+k-nearest-neighbor graph; run_supcon fits an encoder whose kernel rows
+match shared-label rows on class-balanced batches.
 """
 
 from __future__ import annotations
@@ -188,9 +187,10 @@ def value_and_grads(model, loss, p, x):
 
 
 # The two losses below are a step's whole divergence. p must be a valid
-# transition matrix: its builders make it so (property tests check each
-# builder on random shapes), and run_sne validates its one p per run.
-# buffers are the loss's, allocated once per run, or None: one per call.
+# transition matrix, or for the cluster step its support and weights: its
+# builders make it so (property tests check each builder on random
+# shapes), and run_sne validates its one p per run. buffers are the
+# loss's, allocated once per run, or None: one per call.
 
 
 def kernel_loss(divergence, spec, buffers=None):
@@ -219,15 +219,17 @@ def kernel_loss(divergence, spec, buffers=None):
 
 
 def cluster_loss(divergence, buffers=None):
-    """loss(p, phi) of the cluster step: the divergence and its backward
-    on p's support (_cluster_support_pass)."""
-    return lambda p, phi: _cluster_support_pass(divergence, p, phi, buffers)
+    """loss(target, phi) of the cluster step: the divergence and its
+    backward on the target's support (_cluster_support_pass)."""
+    return lambda target, phi: _cluster_support_pass(divergence, *target, phi, buffers)
 
 
-def _cluster_support_pass(divergence, p, phi, buffers=None):
+def _cluster_support_pass(divergence, support, p, phi, buffers=None):
     """Mean row divergence of p and q = cluster_transition(phi), and its
     gradient in phi, with the divergence taken on p's support S alone.
 
+    support is S, the ascending flat indices of p's nonzero entries in the
+    N x N matrix, and p their values: the target that _sub_rows builds.
     Off S every kind's term is q f(0) and its derivative f(0)
     (divergences._f_at_zero), so the loss is
     (sum_S terms + f(0) (N - sum_S q)) / N. With h = (dD/dq - f(0)) / N on
@@ -239,28 +241,23 @@ def _cluster_support_pass(divergence, p, phi, buffers=None):
     derivative along q >= 0, where the dense chain's sign(0) gives 0. The
     result agrees with the dense chain to roundoff, not bit for bit.
 
-    The first 3 N^2 floats of buffers (allocated here if None) make three
-    N x N parts: the overlaps phi phi.T, h, and scratch for S's p, q,
-    dD/dq and r when 4 |S| <= N * N (they are allocated otherwise: a row
-    with no neighbour in its batch is uniform, so S can hold every
-    off-diagonal entry).
+    The first 2 N^2 floats of buffers (allocated here if None) make two
+    N x N parts, the overlaps phi phi.T and h; S's dD/dq is allocated.
     """
     _check_kind(divergence)
     n = len(phi)
-    if p.shape != (n, n):
-        raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
-    G, h, scratch = np.empty((3, n, n)) if buffers is None else buffers.reshape(-1)[:3 * n * n].reshape(3, n, n)
+    if support[-1] >= n * n:
+        raise DimensionError(f"target support index {support[-1]} is outside the {n} x {n} batch")
+    G, h = np.empty((2, n, n)) if buffers is None else buffers.reshape(-1)[:2 * n * n].reshape(2, n, n)
     G, r = _cluster_overlaps(phi, G)
-    support = np.flatnonzero(p > 0.0)
     rows = support // n
-    m = len(support)
-    parts = scratch.reshape(-1)[:4 * m].reshape(4, 1, m) if 4 * m <= scratch.size else np.empty((4, 1, m))
-    ps, qs, gs, tmp = parts
-    np.take(p, support, out=ps[0], mode="clip")
+    # |S| < N^2: h holds S's q until h is filled, G the kind's scratch once q is gathered
+    qs, tmp = h.reshape(1, -1)[:, :len(support)], G.reshape(1, -1)[:, :len(support)]
     np.take(G, support, out=qs[0], mode="clip")
     qs /= np.take(r, rows, out=tmp[0], mode="clip")
     f0 = _f_at_zero(divergence)
-    loss = (DIVERGENCES[divergence](ps, qs, gs, tmp)[0] + f0 * (n - qs.sum())) / n
+    gs = np.empty_like(qs)
+    loss = (DIVERGENCES[divergence](p[None], qs, gs, tmp)[0] + f0 * (n - qs.sum())) / n
     gs -= f0
     gs /= n
     w = np.bincount(rows, weights=np.multiply(gs, qs, out=tmp)[0], minlength=n)
@@ -371,31 +368,34 @@ def run_sne(config, x, labels=None):
     return report, features(model, x)
 
 
-def _sub_rows(nbrs, idx, pos, out=None):
-    """Uniform kNN rows over a batch, rows renormalized, written into out
-    if given: row i weighs the members of nbrs[idx[i]] that are in the
-    batch equally. A row with no neighbor in the batch falls back to
-    uniform over the batch.
+def _sub_rows(nbrs, idx, pos):
+    """The kNN target of a batch as (S, p_S): S the ascending flat indices
+    of its support in the b x b matrix, p_S their weights. Row i weighs
+    the members of nbrs[idx[i]] in the batch equally, or, with none, all
+    b - 1 other points.
 
-    nbrs is the N x k neighbor index array. pos is an N-long scratch map,
-    -1 everywhere on entry and on return, that takes each batch point to
-    its slot.
+    nbrs is the N x k neighbor index array; pos is an N-long scratch map,
+    -1 on entry and on return, from batch points to their slots. Rows are
+    mapped about 2**11 neighbor slots at a time: no b x b or b x k array.
     """
-    pos[idx] = np.arange(idx.shape[0])
-    slot = pos[nbrs[idx]]
+    b = idx.shape[0]
+    pos[idx] = np.arange(b)
+    step = max(1, 2**11 // nbrs.shape[1])
+    found = [_in_batch(pos.take(nbrs.take(idx[s:s + step], axis=0)), s, b) for s in range(0, b, step)]
     pos[idx] = -1
-    rows, cols = np.nonzero(slot >= 0)
-    sub = np.empty((idx.shape[0], idx.shape[0])) if out is None else out
-    sub.fill(0.0)
-    sub[rows, slot[rows, cols]] = 1.0 / nbrs.shape[1]
-    sums = sub.sum(axis=1)
-    empty = sums <= 0.0
-    if empty.any():
-        rows = np.where(empty)[0]
-        sub[rows] = 1.0 / (idx.shape[0] - 1)
-        sub[rows, rows] = 0.0
-        sums = sub.sum(axis=1)
-    return np.divide(sub, sums[:, None], out=sub)
+    count = np.bincount(np.concatenate(found) // b, minlength=b)
+    empty = np.flatnonzero(count == 0)[:, None]
+    count[empty] = b - 1
+    others = np.arange(b - 1)
+    found.append((empty * b + others + (others >= empty)).ravel())
+    return np.sort(np.concatenate(found)), np.repeat(1.0 / count, count)
+
+
+def _in_batch(slot, start, b):
+    """Flat b x b indices of the neighbors in the batch of rows start,
+    start + 1, ..., given their neighbors' slots (-1 outside the batch)."""
+    hit = np.flatnonzero(slot >= 0)
+    return (hit // slot.shape[1] + start) * b + slot.ravel()[hit]
 
 
 def run_cluster(config, x, labels=None):
@@ -403,11 +403,10 @@ def run_cluster(config, x, labels=None):
 
     The graph is held as each point's k neighbor indices, found once up
     front, never as a dense N x N matrix. Each epoch shuffles the points
-    into batches (a trailing batch of fewer than 4 is dropped), and each
-    batch scatters and renormalizes its sub-rows (see _sub_rows) into the
-    last of four b x b parts, after the step's buffers, at the front of
-    one slab sized for the largest batch. Snapshots record assignment
-    accuracy when labels are given.
+    into batches (a trailing batch of fewer than 4 is dropped); a batch's
+    target is its support and weights (_sub_rows), and the step works in
+    one slab of two b x b parts sized for the largest batch. Snapshots
+    record assignment accuracy when labels are given.
     """
     cfg = resolve_config(config)
     x = np.asarray(x, dtype=float)
@@ -417,15 +416,14 @@ def run_cluster(config, x, labels=None):
     pos = np.full(x.shape[0], -1, dtype=np.intp)
     head = ClusterHead.init(x.shape[1], cfg.clusters, np.random.default_rng([cfg.seed, 1]))
     shuffle_rng = np.random.default_rng([cfg.seed, 7])
-    slab = np.empty(4 * min(cfg.batch_size, x.shape[0]) ** 2)
+    slab = np.empty(2 * min(cfg.batch_size, x.shape[0]) ** 2)
 
     def batches():
         perm = shuffle_rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], cfg.batch_size):
             batch = perm[start:start + cfg.batch_size]
-            b = batch.shape[0]
-            if b >= 4:
-                yield _sub_rows(nbrs, batch, pos, slab[3 * b * b:4 * b * b].reshape(b, b)), x[batch]
+            if batch.shape[0] >= 4:
+                yield _sub_rows(nbrs, batch, pos), x[batch]
 
     loss = cluster_loss(cfg.divergence, slab)
     report = _train(cfg, head, batches, loss, _snapshot(head, x, labels, ("hungarian",), cfg.seed))

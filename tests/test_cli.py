@@ -333,6 +333,19 @@ class TestRunCommand:
         assert rc == EXIT_CONFIG
         assert "error: Unable to allocate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, config", [
+        ("sne", sne_config(data_n=2**62)),
+        ("cluster", cluster_config(clusters=2**62)),
+        ("supcon", supcon_config(hidden=2**62)),
+        ("supcon", supcon_config(out_dim=2**62)),
+    ], ids=["data_n", "clusters", "supcon-hidden", "supcon-out_dim"])
+    def test_size_past_numpys_array_limit_exits_2(self, tmp_path, capsys, task, config):
+        # numpy refuses the shape with a ValueError before any allocation
+        cfg = write_json(tmp_path / "cfg.json", config)
+        rc = main(["run", task, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "error: array is too big" in capsys.readouterr().err
+
     def test_cluster_run_runs_the_head_once_per_step_and_snapshot(self, tmp_path, monkeypatch):
         # 60 epochs of 4 batches, 60 snapshots and the run's features: the
         # output comes from the engine, not from a second forward pass

@@ -174,19 +174,19 @@ class TestFusedAssemblies:
         loss, dq = loss_and_grad(div, p, cluster_transition(phi))
         want, _ = head_backward(head, x, cluster_transition_grad(phi, dq))
         # as in run_cluster: a shorter batch works in the front of a slab
-        # sized for a larger one, with its target rows in the fourth part;
-        # the slab's stale contents must not reach the result
-        slab = np.full(4 * 16 * 16, np.nan)
-        front = slab[:4 * 11 * 11].reshape(4, 11, 11)
-        front[3] = p
-        first_loss, first = value_and_grads(head, cluster_loss(div), p, x)
-        for buffers, target in ((None, p), (np.empty((3, 11, 11)), p), (front, front[3]), (front, front[3])):
+        # sized for a larger one; the slab's stale contents must not reach
+        # the result
+        slab = np.full(2 * 16 * 16, np.nan)
+        front = slab[:2 * 11 * 11].reshape(2, 11, 11)
+        target = (np.flatnonzero(p), p[p > 0])
+        first_loss, first = value_and_grads(head, cluster_loss(div), target, x)
+        for buffers in (None, np.empty((2, 11, 11)), front, front):
             fused_loss, grads = value_and_grads(head, cluster_loss(div, buffers), target, x)
             assert fused_loss == first_loss
             assert grads.keys() == want.keys()
             for name in want:
                 assert np.array_equal(grads[name], first[name]), name
-        assert np.isnan(slab[4 * 11 * 11:]).all()
+        assert np.isnan(slab[2 * 11 * 11:]).all()
         # the step works on p's support alone, so its sums are taken in
         # another order than the dense chain's
         assert_close_to_dense(first_loss, first, loss, want)
@@ -352,9 +352,16 @@ class TestBlockedStep:
         assert peak < 8 * n * n / 2
 
 
+def scatter(target, b):
+    """The b x b rows of a cluster batch target (S, p_S)."""
+    p = np.zeros((b, b))
+    p.flat[target[0]] = target[1]
+    return p
+
+
 class TestClusterStep:
     """The cluster step's one pass: the overlaps, then the divergence and
-    the backward on the target's support, in three batch x batch buffers."""
+    the backward on the target's support, in two batch x batch buffers."""
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 9), d=st.integers(1, 3), clusters=st.integers(2, 4),
@@ -365,8 +372,9 @@ class TestClusterStep:
         p, x = step_instance(n, d, sparse, seed, scale=0.5)
         head = ClusterHead.init(d, clusters, np.random.default_rng(seed))
         assume(_tv_margin_ok(div, p, cluster_transition(head_forward(head, x))))
-        _, grads = value_and_grads(head, cluster_loss(div, np.empty((3, n, n))), p, x)
-        value = lambda: value_and_grads(head, cluster_loss(div), p, x)[0]
+        target = (np.flatnonzero(p), p[p > 0])
+        _, grads = value_and_grads(head, cluster_loss(div, np.empty((2, n, n))), target, x)
+        value = lambda: value_and_grads(head, cluster_loss(div), target, x)[0]
         assert step_gradcheck_error(grads, value, head.params()) <= TOL
 
     @settings(max_examples=100, deadline=None)
@@ -379,12 +387,13 @@ class TestClusterStep:
         nbrs = _knn_graph(x, k)
         pos = np.full(x.shape[0], -1, dtype=np.intp)
         head = ClusterHead.init(x.shape[1], clusters, np.random.default_rng(seed))
-        slab = np.empty(4 * len(batches[0]) ** 2)
+        slab = np.empty(2 * len(batches[0]) ** 2)
         for idx in batches:
             b = len(idx)
             slab.fill(np.nan)
-            front = slab[:4 * b * b].reshape(4, b, b)
-            p, xb = _sub_rows(nbrs, idx, pos, front[3]), x[idx]
+            front = slab[:2 * b * b].reshape(2, b, b)
+            target, xb = _sub_rows(nbrs, idx, pos), x[idx]
+            p = scatter(target, b)
             phi = head_forward(head, xb)
             q = cluster_transition(phi)
             if div == "TV" and np.any((p == 0.0) & (q == 0.0) & ~np.eye(b, dtype=bool)):
@@ -394,9 +403,9 @@ class TestClusterStep:
                 event("TV with an off-support q of exactly 0")
             loss, dq = loss_and_grad(div, p, q)
             want, _ = head_backward(head, xb, cluster_transition_grad(phi, dq))
-            first_loss, first = value_and_grads(head, cluster_loss(div), p, xb)
-            for buffers in (np.empty((3, b, b)), front):
-                fused_loss, grads = value_and_grads(head, cluster_loss(div, buffers), p, xb)
+            first_loss, first = value_and_grads(head, cluster_loss(div), target, xb)
+            for buffers in (np.empty((2, b, b)), front):
+                fused_loss, grads = value_and_grads(head, cluster_loss(div, buffers), target, xb)
                 assert fused_loss == first_loss
                 for name in want:
                     assert np.array_equal(grads[name], first[name]), name
@@ -410,15 +419,25 @@ class TestClusterStep:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(b, 64))
         p = supervisory_knn(x, 30)
+        target = (np.flatnonzero(p), p[p > 0])
         head = ClusterHead.init(64, 10, rng)
-        buffers = np.empty((3, b, b))
+        buffers = np.empty((2, b, b))
         tracemalloc.start()
         try:
-            value_and_grads(head, cluster_loss(div, buffers), p, x)
+            value_and_grads(head, cluster_loss(div, buffers), target, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * b * b / 2
+
+    def test_target_of_a_larger_batch_is_a_dimension_error(self):
+        # the gathers clip out-of-range indices, so the step checks S's last
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(12, 3))
+        target = _sub_rows(_knn_graph(x, 3), np.arange(12), np.full(12, -1, dtype=np.intp))
+        head = ClusterHead.init(3, 4, rng)
+        with pytest.raises(DimensionError, match="outside the 11 x 11 batch"):
+            value_and_grads(head, cluster_loss("KL"), target, x[:11])
 
 
 class TestResolveConfig:
@@ -621,17 +640,14 @@ class TestRunCluster:
 
 
 def dense_sub_rows(p, idx):
-    """The batch sub-rows gathered from the dense kNN target, as the
-    reference for _sub_rows."""
-    sub = p[np.ix_(idx, idx)].copy()
-    sums = sub.sum(axis=1)
-    empty = sums <= 0.0
-    if empty.any():
-        rows = np.where(empty)[0]
-        sub[rows] = 1.0 / (idx.shape[0] - 1)
-        sub[rows, rows] = 0.0
-        sums = sub.sum(axis=1)
-    return sub / sums[:, None]
+    """The batch's kNN target from the dense kNN rows: each row's
+    neighbours in the batch weighted 1 / their count, or all other points
+    for a row with none, as the reference for _sub_rows."""
+    sub = (p[np.ix_(idx, idx)] > 0.0).astype(float)
+    empty = np.flatnonzero(~sub.any(axis=1))
+    sub[empty] = 1.0
+    sub[empty, empty] = 0.0
+    return sub / sub.sum(axis=1, keepdims=True)
 
 
 class TestSubRows:
@@ -643,22 +659,39 @@ class TestSubRows:
         pos = np.full(x.shape[0], -1, dtype=np.intp)
         for idx in batches:
             want = dense_sub_rows(p, idx)
-            assert np.array_equal(_sub_rows(nbrs, idx, pos), want)
-            # into a buffer that holds stale values, as run_cluster's slab does
-            out = np.full((len(idx), len(idx)), np.nan)
-            assert _sub_rows(nbrs, idx, pos, out) is out
-            assert np.array_equal(out, want)
+            support, weights = _sub_rows(nbrs, idx, pos)
+            assert np.array_equal(support, np.flatnonzero(want))
+            assert np.array_equal(weights, want.flat[support])
             assert np.all(pos == -1)
 
     @settings(max_examples=100, deadline=None)
     @given(knn_batches())
     def test_rows_are_transition_rows(self, inst):
-        # run_cluster trains on these rows without checking them
+        # run_cluster trains on these targets without checking them
         x, k, batches = inst
         nbrs = _knn_graph(x, k)
         pos = np.full(x.shape[0], -1, dtype=np.intp)
         for idx in batches:
-            validate_distribution(_sub_rows(nbrs, idx, pos))
+            b = len(idx)
+            support, weights = _sub_rows(nbrs, idx, pos)
+            assert np.all(pos == -1)
+            assert np.all(np.diff(support) > 0)
+            assert np.all(support % (b + 1) != 0)
+            validate_distribution(scatter((support, weights), b))
+
+    def test_one_target_at_256_points_peaks_under_a_tenth_of_a_batch_matrix(self):
+        b, k = 256, 30
+        x = np.random.default_rng(17).normal(size=(2000, 8))
+        nbrs = _knn_graph(x, k)
+        pos = np.full(x.shape[0], -1, dtype=np.intp)
+        idx = np.random.default_rng(19).permutation(x.shape[0])[:b]
+        tracemalloc.start()
+        try:
+            _sub_rows(nbrs, idx, pos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * b * b / 10
 
 
 class TestRunSupcon:
