@@ -46,7 +46,9 @@ def check_field_types(config, prefix=""):
     """Raise ConfigError unless every field of a config dataclass holds its
     annotated type: int fields take integers but not bools, float fields
     integers or floats, str fields strings, and `T | None` fields also
-    None. The annotations must be strings (`from __future__ import
+    None. Integers, in int and float fields alike, must lie in
+    [-2**63, 2**63), where numpy takes them as int64 and float() cannot
+    overflow. The annotations must be strings (`from __future__ import
     annotations`). prefix is prepended to field names in the message."""
     for f in fields(config):
         value = getattr(config, f.name)
@@ -56,3 +58,5 @@ def check_field_types(config, prefix=""):
         cls, noun = _FIELD_TYPES[kind]
         if isinstance(value, bool) or not isinstance(value, cls):
             raise ConfigError(f"{prefix}{f.name} must be {noun}, got {value!r}")
+        if isinstance(value, Integral) and not -2**63 <= value < 2**63:
+            raise ConfigError(f"{prefix}{f.name} must lie in [-2**63, 2**63), got an integer of {value.bit_length()} bits")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, NumericalError
 from .kernels import _BLOCK_FLOATS, _finite, _knn, squared_distances
-from .model import Adam, ClusterHead, head_forward
+from .model import Adam, ClusterHead, features
 
 METRICS = ("hungarian", "knn", "probe", "silhouette")
 
@@ -180,13 +180,13 @@ def linear_probe(train_z, train_y, test_z, test_y, epochs=200, lr=1e-2, seed=0):
     n = train_z.shape[0]
     onehot = np.eye(n_classes)[train_y]
     for _ in range(int(epochs)):
-        probs = head_forward(head, train_z)
+        probs = features(head, train_z)
         loss = -float(np.mean(np.log(np.maximum(probs[np.arange(n), train_y], 1e-300))))
         if not np.isfinite(loss):
             raise NumericalError("non-finite probe loss")
         dlogits = (probs - onehot) / n
         opt.step({"W": train_z.T @ dlogits, "b": dlogits.sum(axis=0)})
-    pred = head_forward(head, test_z).argmax(axis=1)
+    pred = features(head, test_z).argmax(axis=1)
     return float(np.mean(pred == test_y))
 
 

@@ -26,7 +26,7 @@ from .kernels import (
     supervisory_labels,
     supervisory_sne,
 )
-from .model import ClusterHead, Encoder, FreeEmbedding, forward, head_forward, softmax_rows
+from .model import ClusterHead, Encoder, FreeEmbedding, features, softmax_rows
 from .trainers import _sub_rows, cluster_loss, kernel_loss, value_and_grads
 
 TOL = 1e-5
@@ -204,7 +204,7 @@ def _sne_parametric(rng, spec):
     p = supervisory_sne(x, 4.0)
     enc = Encoder.init("mlp1", 3, 4, 2, rng)
     assembly = lambda div: value_and_grads(enc, kernel_loss(div, spec), p, x)
-    return p, learned_rows(forward(enc, x), spec), enc.params(), assembly
+    return p, learned_rows(features(enc, x), spec), enc.params(), assembly
 
 
 def _supcon(rng, spec):
@@ -212,7 +212,7 @@ def _supcon(rng, spec):
     enc = Encoder.init("mlp1", 3, 4, 3, rng)
     p = supervisory_labels(np.array([0, 0, 1, 1, 2, 2, 3, 3]))
     assembly = lambda div: value_and_grads(enc, kernel_loss(div, spec), p, x)
-    return p, learned_rows(forward(enc, x), spec), enc.params(), assembly
+    return p, learned_rows(features(enc, x), spec), enc.params(), assembly
 
 
 def _cluster(rng):
@@ -221,7 +221,7 @@ def _cluster(rng):
     target = _sub_rows(_knn_graph(x, 3), np.arange(9), np.full(9, -1, dtype=np.intp))
     head = ClusterHead.init(3, 4, rng)
     assembly = lambda div: value_and_grads(head, cluster_loss(div), target, x)
-    return supervisory_knn(x, 3), cluster_transition(head_forward(head, x)), head.params(), assembly
+    return supervisory_knn(x, 3), cluster_transition(features(head, x)), head.params(), assembly
 
 
 def check_end2end(seed=0):

@@ -205,7 +205,7 @@ def kernel_rows_grad(z, spec, dL_dq):
 def _kernel_rows_buffers(n):
     """The buffers of _kernel_rows_pass over n points: the q, dL/dq and
     scratch rows of one block of min(n, 2**18 // n) rows (at least 1)."""
-    return np.empty((3, max(1, min(n, _STEP_FLOATS // n)), n))
+    return np.empty((3, max(1, min(n, _STEP_FLOATS // max(n, 1))), n))
 
 
 def _kernel_rows_pass(z, spec, fill, buffers=None):

@@ -123,17 +123,6 @@ class Encoder:
         return grads, da @ self.W1.T
 
 
-def forward(encoder, x):
-    """Encoder output for a batch of rows."""
-    return encoder.forward(x)[0]
-
-
-def backward(encoder, x, dL_dout):
-    """Parameter gradients and dL/dx for a batch; recomputes the forward
-    pass's hidden layer."""
-    return encoder.backward(x, encoder.forward(x)[1], dL_dout)
-
-
 class ClusterHead:
     """Linear layer followed by a row softmax over cluster logits."""
 
@@ -168,17 +157,6 @@ class ClusterHead:
             raise DimensionError(f"gradient shape {g.shape} does not match assignments {probs.shape}")
         dlogits = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
         return {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}, dlogits @ self.W.T
-
-
-def head_forward(head, x):
-    """Soft assignment rows; each row sums to 1 for arbitrary finite input."""
-    return head.forward(x)[0]
-
-
-def head_backward(head, x, dL_dprobs):
-    """Parameter gradients and dL/dx through the softmax head; runs
-    head_forward first."""
-    return head.backward(x, head.forward(x)[1], dL_dprobs)
 
 
 def features(model, x):

@@ -188,24 +188,31 @@ def value_and_grads(model, loss, p, x):
 
 # The two losses below are a step's whole divergence. p must be a valid
 # transition matrix, or for the cluster step its support and weights: its
-# builders make it so (property tests check each builder on random
-# shapes), and run_sne validates its one p per run. buffers are the
-# loss's, allocated once per run, or None: one per call.
+# builders make it so, and property tests check each builder on random
+# shapes. Each loss allocates its own scratch on its first call.
 
 
-def kernel_loss(divergence, spec, buffers=None):
+def kernel_loss(divergence, spec):
     """loss(p, z) of the SNE and supcon steps: the mean row divergence of p
     and the N x N learned rows q of z under spec, from one kernel-rows
     pass, and its gradient in z. The pass hands fill each block's rows of
     q, to be given their rows of dD/dQ / N (the diagonal, finite since p's
-    is 0, left as it is)."""
+    is 0, left as it is).
+
+    The pass's buffers (_kernel_rows_buffers(N)) belong to the loss: they
+    are allocated on its first call and again only when N changes. A loss
+    is made per run, so the threads of a sweep never share one."""
     _check_kind(divergence)
     kind = DIVERGENCES[divergence]
+    buffers = None
 
     def loss(p, z):
+        nonlocal buffers
         n = len(z)
         if p.shape != (n, n):
             raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
+        if buffers is None or buffers.shape[2] != n:
+            buffers = _kernel_rows_buffers(n)
         values = np.empty(n)
 
         def fill(start, q, g, tmp):
@@ -218,10 +225,20 @@ def kernel_loss(divergence, spec, buffers=None):
     return loss
 
 
-def cluster_loss(divergence, buffers=None):
+def cluster_loss(divergence):
     """loss(target, phi) of the cluster step: the divergence and its
-    backward on the target's support (_cluster_support_pass)."""
-    return lambda target, phi: _cluster_support_pass(divergence, *target, phi, buffers)
+    backward on the target's support (_cluster_support_pass), in a slab of
+    2 b^2 floats that the loss allocates on its first call and again only
+    for a larger batch."""
+    slab = np.empty(0)
+
+    def loss(target, phi):
+        nonlocal slab
+        if slab.shape[0] < 2 * len(phi) ** 2:
+            slab = np.empty(2 * len(phi) ** 2)
+        return _cluster_support_pass(divergence, *target, phi, slab)
+
+    return loss
 
 
 def _cluster_support_pass(divergence, support, p, phi, buffers=None):
@@ -344,16 +361,15 @@ def run_sne(config, x, labels=None):
 
     cfg.mode 'free' trains one row per point (initialized from x itself
     when x already has out_dim columns); 'parametric' trains an encoder.
-    Supervisory rows are computed and validated once; each epoch is one
-    Adam step, whose kernel-rows pass works in buffers allocated once here.
+    Supervisory rows are computed once; each epoch is one full-batch Adam
+    step.
     """
     cfg = resolve_config(config)
     if cfg.task != "sne":
         raise ConfigError(f"run_sne got a config for task {cfg.task!r}")
     x = np.asarray(x, dtype=float)
-    p = validate_distribution(supervisory_sne(x, cfg.perplexity))
+    p = supervisory_sne(x, cfg.perplexity)
     spec = KernelSpec(cfg.kernel, cfg.scale)
-    buffers = _kernel_rows_buffers(x.shape[0])
     rng = np.random.default_rng([cfg.seed, 1])
     if cfg.mode == "free":
         if x.shape[1] == cfg.out_dim:
@@ -363,7 +379,7 @@ def run_sne(config, x, labels=None):
     else:
         model = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
     names = ("knn", "silhouette") if labels is not None and len(np.unique(labels)) >= 2 else ("knn",)
-    loss = kernel_loss(cfg.divergence, spec, buffers)
+    loss = kernel_loss(cfg.divergence, spec)
     report = _train(cfg, model, lambda: [(p, x)], loss, _snapshot(model, x, labels, names, cfg.seed))
     return report, features(model, x)
 
@@ -404,9 +420,8 @@ def run_cluster(config, x, labels=None):
     The graph is held as each point's k neighbor indices, found once up
     front, never as a dense N x N matrix. Each epoch shuffles the points
     into batches (a trailing batch of fewer than 4 is dropped); a batch's
-    target is its support and weights (_sub_rows), and the step works in
-    one slab of two b x b parts sized for the largest batch. Snapshots
-    record assignment accuracy when labels are given.
+    target is its support and weights (_sub_rows). Snapshots record
+    assignment accuracy when labels are given.
     """
     cfg = resolve_config(config)
     x = np.asarray(x, dtype=float)
@@ -416,7 +431,6 @@ def run_cluster(config, x, labels=None):
     pos = np.full(x.shape[0], -1, dtype=np.intp)
     head = ClusterHead.init(x.shape[1], cfg.clusters, np.random.default_rng([cfg.seed, 1]))
     shuffle_rng = np.random.default_rng([cfg.seed, 7])
-    slab = np.empty(2 * min(cfg.batch_size, x.shape[0]) ** 2)
 
     def batches():
         perm = shuffle_rng.permutation(x.shape[0])
@@ -425,7 +439,7 @@ def run_cluster(config, x, labels=None):
             if batch.shape[0] >= 4:
                 yield _sub_rows(nbrs, batch, pos), x[batch]
 
-    loss = cluster_loss(cfg.divergence, slab)
+    loss = cluster_loss(cfg.divergence)
     report = _train(cfg, head, batches, loss, _snapshot(head, x, labels, ("hungarian",), cfg.seed))
     return report, features(head, x)
 
@@ -493,9 +507,7 @@ def run_supcon(config, x, labels):
         for batch in _balanced_batches(train_idx, y, cfg.batch_size, shuffle_rng):
             yield supervisory_labels(y[batch]), x[batch]
 
-    # every balanced batch has batch_size rows, all drawn from train_idx
-    buffers = _kernel_rows_buffers(min(cfg.batch_size, train_idx.shape[0]))
-    loss = kernel_loss(cfg.divergence, spec, buffers)
+    loss = kernel_loss(cfg.divergence, spec)
     report = _train(cfg, encoder, batches, loss, _snapshot(encoder, x, y, ("knn",), cfg.seed))
     chance = 1.0 / np.unique(y).shape[0]
     knn = [metrics["knn"] for _, metrics in report.snapshots]

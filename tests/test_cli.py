@@ -285,15 +285,15 @@ class TestRunCommand:
         assert "no batch of at least 4 points" in capsys.readouterr().err
 
     def test_supcon_batch_beyond_the_data_exits_2(self, tmp_path, capsys):
-        # the step's buffers are sized for the training points, not for batch_size
+        # the loss sizes its buffers by the batches it is given, not by batch_size
         cfg = write_json(tmp_path / "cfg.json", supcon_config(batch_size=10**9))
         rc = main(["run", "supcon", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "not enough samples per class" in capsys.readouterr().err
 
     def test_cluster_batch_beyond_the_data(self, tmp_path, capsys):
-        # the step's slab is sized for the points, not for batch_size: one
-        # full batch trains, and three points still make no batch
+        # the loss sizes its slab by the batches it is given, not by
+        # batch_size: one full batch trains, and three points still make no batch
         cfg = write_json(tmp_path / "cfg.json", cluster_config(batch_size=10**9))
         assert main(["run", "cluster", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
         data = tmp_path / "three.csv"
@@ -345,6 +345,21 @@ class TestRunCommand:
         rc = main(["run", task, "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "error: array is too big" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, config, key", [
+        ("sne", sne_config(data_n=2**63), "data_n"),
+        ("sne", sne_config(data_d=2**63), "data_d"),
+        ("cluster", cluster_config(clusters=2**63), "clusters"),
+        ("supcon", supcon_config(hidden=2**63), "hidden"),
+        ("supcon", supcon_config(out_dim=2**63), "out_dim"),
+        ("sne", sne_config(lr=10**400), "lr"),
+    ], ids=["data_n", "data_d", "clusters", "supcon-hidden", "supcon-out_dim", "lr"])
+    def test_integer_past_int64_exits_2(self, tmp_path, capsys, task, config, key):
+        # the config's type check refuses it before numpy or float() sees it
+        cfg = write_json(tmp_path / "cfg.json", config)
+        rc = main(["run", task, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert f"error: {key} must lie in [-2**63, 2**63)" in capsys.readouterr().err
 
     def test_cluster_run_runs_the_head_once_per_step_and_snapshot(self, tmp_path, monkeypatch):
         # 60 epochs of 4 batches, 60 snapshots and the run's features: the
@@ -423,7 +438,7 @@ class TestSweep:
         ("supcon", supcon_config(), "kernel=distance,angular", 2),
     ])
     def test_two_jobs_write_the_bytes_of_one(self, tmp_path, task, config, sweep, cells):
-        # each run owns its step buffers; cells sharing any would diverge under two threads
+        # each run's loss owns its scratch; cells sharing any would diverge under two threads
         cfg = write_json(tmp_path / "cfg.json", config)
         outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in ("1", "2")}
         for jobs, out in outs.items():

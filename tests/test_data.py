@@ -12,12 +12,13 @@ from bicon import DatasetSpec, generate, load_matrix
 from bicon.data import (
     MATRIX_MAGIC,
     LabeledMatrix,
+    _validate_spec,
     emit_report_csv,
     emit_scatter_svg,
     save_binary,
     save_csv,
 )
-from bicon.errors import ConfigError, DimensionError, ParseError
+from bicon.errors import ConfigError, DimensionError, ParseError, check_field_types
 from bicon.evaluation import holdout_split, knn_accuracy
 from bicon.model import ClusterHead, Encoder, FreeEmbedding, load_checkpoint, save_checkpoint
 
@@ -89,6 +90,15 @@ class TestGenerate:
             generate(blob_spec(separation=0.0))
         with pytest.raises(ConfigError):
             generate(blob_spec(d=1))
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2**64), ("n", 2**63), ("n", -2**63 - 1), ("d", 2**63), ("separation", 10**400),
+    ], ids=["n-2**64", "n-2**63", "n-below-int64", "d-2**63", "separation-10**400"])
+    def test_spec_integer_past_int64_is_a_config_error(self, field, value):
+        # the spec check only: generate with n = 2**64 may crash numpy itself
+        with pytest.raises(ConfigError, match=rf"data_{field} must lie in \[-2\*\*63, 2\*\*63\)"):
+            _validate_spec(blob_spec(**{field: value}))
+        check_field_types(blob_spec(**{field: 2**63 - 1}), "data_")
 
 
 class TestMatrixIO:

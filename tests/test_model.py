@@ -12,10 +12,7 @@ from bicon.model import (
     ClusterHead,
     Encoder,
     FreeEmbedding,
-    backward,
-    forward,
-    head_backward,
-    head_forward,
+    features,
     load_checkpoint,
     save_checkpoint,
 )
@@ -31,26 +28,26 @@ class TestForward:
         for key, tensor in enc.params().items():
             tensor[...] = 0.0
         x = np.random.default_rng(1).normal(size=(5, 3))
-        np.testing.assert_array_equal(forward(enc, x), 0.0)
+        np.testing.assert_array_equal(features(enc, x), 0.0)
 
     def test_linear_identity(self):
         enc = Encoder.init("linear", 3, 0, 3, np.random.default_rng(0))
         enc.W1[...] = np.eye(3)
         enc.b1[...] = 0.0
         x = np.random.default_rng(2).normal(size=(4, 3))
-        np.testing.assert_allclose(forward(enc, x), x, atol=1e-15)
+        np.testing.assert_allclose(features(enc, x), x, atol=1e-15)
 
     def test_mlp1_matches_formula(self):
         rng = np.random.default_rng(3)
         enc = Encoder.init("mlp1", 4, 5, 2, rng)
         x = rng.normal(size=(6, 4))
         want = np.tanh(x @ enc.W1 + enc.b1) @ enc.W2 + enc.b2
-        np.testing.assert_allclose(forward(enc, x), want, atol=1e-15)
+        np.testing.assert_allclose(features(enc, x), want, atol=1e-15)
 
     def test_shape_mismatch(self):
         enc = Encoder.init("linear", 3, 0, 2, np.random.default_rng(0))
         with pytest.raises(DimensionError):
-            forward(enc, np.zeros((4, 5)))
+            features(enc, np.zeros((4, 5)))
 
     def test_unknown_kind(self):
         with pytest.raises(DimensionError):
@@ -62,7 +59,7 @@ class TestBackward:
         rng = np.random.default_rng(4)
         enc = Encoder.init("mlp1", 3, 4, 2, rng)
         x = rng.normal(size=(5, 3))
-        grads, dx = backward(enc, x, np.zeros((5, 2)))
+        grads, dx = enc.backward(x, enc.forward(x)[1], np.zeros((5, 2)))
         assert all(np.all(g == 0.0) for g in grads.values())
         np.testing.assert_array_equal(dx, 0.0)
 
@@ -71,7 +68,7 @@ class TestBackward:
         enc = Encoder.init("linear", 3, 0, 2, rng)
         x = rng.normal(size=(5, 3))
         dout = rng.normal(size=(5, 2))
-        grads, _ = backward(enc, x, dout)
+        grads, _ = enc.backward(x, enc.forward(x)[1], dout)
         np.testing.assert_allclose(grads["W1"], x.T @ dout, atol=1e-12)
         np.testing.assert_allclose(grads["b1"], dout.sum(axis=0), atol=1e-12)
 
@@ -83,9 +80,9 @@ class TestBackward:
         A = rng.normal(size=(5, 2))
 
         def loss():
-            return float(np.sum(A * forward(enc, x)))
+            return float(np.sum(A * features(enc, x)))
 
-        grads, dx = backward(enc, x, A)
+        grads, dx = enc.backward(x, enc.forward(x)[1], A)
         h = 1e-6
         for key, tensor in enc.params().items():
             numeric = np.zeros_like(tensor)
@@ -117,7 +114,7 @@ class TestClusterHead:
         rng = np.random.default_rng(7)
         head = ClusterHead.init(5, 4, rng)
         x = rng.normal(size=(9, 5)) * 10.0
-        probs = head_forward(head, x)
+        probs = features(head, x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0.0)
 
@@ -128,9 +125,9 @@ class TestClusterHead:
         A = rng.normal(size=(6, 4))
 
         def loss():
-            return float(np.sum(A * head_forward(head, x)))
+            return float(np.sum(A * features(head, x)))
 
-        grads, _ = head_backward(head, x, A)
+        grads, _ = head.backward(x, head.forward(x)[1], A)
         h = 1e-6
         for key, tensor in head.params().items():
             numeric = np.zeros_like(tensor)

@@ -30,8 +30,9 @@ from bicon.kernels import (
     supervisory_sne,
     validate_distribution,
 )
-from bicon.model import ClusterHead, Encoder, FreeEmbedding, backward, forward, head_backward, head_forward
+from bicon.model import ClusterHead, Encoder, FreeEmbedding, features
 from bicon.trainers import (
+    _cluster_support_pass,
     _collapsed,
     _sub_rows,
     cluster_loss,
@@ -136,9 +137,9 @@ class TestFusedAssemblies:
         p = supervisory_labels(np.repeat(np.arange(5), 2))
         enc = Encoder.init("mlp1", 3, 6, 4, rng)
         spec = KernelSpec(family, 1.5)
-        z = forward(enc, x)
+        z = features(enc, x)
         loss, dq = loss_and_grad(div, p, learned_rows(z, spec))
-        want, _ = backward(enc, x, kernel_rows_grad(z, spec, dq))
+        want, _ = enc.backward(x, enc.forward(x)[1], kernel_rows_grad(z, spec, dq))
         fused_loss, grads = value_and_grads(enc, kernel_loss(div, spec), p, x)
         assert fused_loss == loss
         assert grads.keys() == want.keys()
@@ -155,9 +156,9 @@ class TestFusedAssemblies:
         p = supervisory_labels(np.repeat(np.arange(5), 2))
         enc = Encoder.init(kind, 3, 6, 4, rng)
         spec = KernelSpec(family, 1.5)
-        z = forward(enc, x)
+        z = features(enc, x)
         loss, dq = loss_and_grad("TV", p, learned_rows(z, spec))
-        want, _ = backward(enc, x, kernel_rows_grad(z, spec, dq))
+        want, _ = enc.backward(x, enc.forward(x)[1], kernel_rows_grad(z, spec, dq))
         fused_loss, grads = value_and_grads(enc, kernel_loss("TV", spec), p, x)
         assert fused_loss == loss
         assert grads.keys() == want.keys()
@@ -170,9 +171,9 @@ class TestFusedAssemblies:
         x = rng.normal(size=(11, 3))
         p = supervisory_knn(x, 3)
         head = ClusterHead.init(3, 4, rng)
-        phi = head_forward(head, x)
+        phi = features(head, x)
         loss, dq = loss_and_grad(div, p, cluster_transition(phi))
-        want, _ = head_backward(head, x, cluster_transition_grad(phi, dq))
+        want, _ = head.backward(x, head.forward(x)[1], cluster_transition_grad(phi, dq))
         # as in run_cluster: a shorter batch works in the front of a slab
         # sized for a larger one; the slab's stale contents must not reach
         # the result
@@ -181,7 +182,7 @@ class TestFusedAssemblies:
         target = (np.flatnonzero(p), p[p > 0])
         first_loss, first = value_and_grads(head, cluster_loss(div), target, x)
         for buffers in (None, np.empty((2, 11, 11)), front, front):
-            fused_loss, grads = value_and_grads(head, cluster_loss(div, buffers), target, x)
+            fused_loss, grads = value_and_grads(head, support_pass_in(div, buffers), target, x)
             assert fused_loss == first_loss
             assert grads.keys() == want.keys()
             for name in want:
@@ -190,6 +191,12 @@ class TestFusedAssemblies:
         # the step works on p's support alone, so its sums are taken in
         # another order than the dense chain's
         assert_close_to_dense(first_loss, first, loss, want)
+
+
+def support_pass_in(divergence, buffers):
+    """A cluster step's loss that runs _cluster_support_pass in the given
+    buffers, as cluster_loss runs it in its own slab."""
+    return lambda target, phi: _cluster_support_pass(divergence, *target, phi, buffers)
 
 
 def assert_close_to_dense(loss, grads, want_loss, want, loss_floor=0.0, grad_floor=0.0):
@@ -331,7 +338,7 @@ class TestBlockedStep:
             p = supervisory_labels(rng.permutation(np.minimum(np.arange(n) // 2, n // 2 - 1)))
         enc = Encoder.init(kind, d, 4, 3, rng)
         spec = KernelSpec(family, 1.25)
-        assume(_tv_margin_ok(div, p, learned_rows(forward(enc, x), spec)))
+        assume(_tv_margin_ok(div, p, learned_rows(features(enc, x), spec)))
         value = lambda: value_and_grads(enc, kernel_loss(div, spec), p, x)[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
@@ -350,6 +357,29 @@ class TestBlockedStep:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n / 2
+
+    def test_kept_loss_allocates_its_buffers_once(self):
+        # a run keeps one loss: its second step reuses the first's buffers
+        n = 300
+        rng = np.random.default_rng(7)
+        p = learned_rows(rng.normal(size=(n, 10)), KernelSpec("distance", 1.0))
+        table = 0.3 * rng.normal(size=(n, 2))
+        model, loss = FreeEmbedding(table), kernel_loss("TV", KernelSpec("distance", 4.0))
+        value_and_grads(model, loss, p, table)
+        tracemalloc.start()
+        try:
+            value_and_grads(model, loss, p, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 2
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_points_is_a_dimension_error(self, n):
+        # the loss sizes its buffers before the pass checks the shape
+        loss = kernel_loss("KL", KernelSpec("distance", 1.0))
+        with pytest.raises(DimensionError, match="N >= 2"):
+            loss(np.zeros((n, n)), np.zeros((n, 2)))
 
 
 def scatter(target, b):
@@ -371,9 +401,9 @@ class TestClusterStep:
 
         p, x = step_instance(n, d, sparse, seed, scale=0.5)
         head = ClusterHead.init(d, clusters, np.random.default_rng(seed))
-        assume(_tv_margin_ok(div, p, cluster_transition(head_forward(head, x))))
+        assume(_tv_margin_ok(div, p, cluster_transition(features(head, x))))
         target = (np.flatnonzero(p), p[p > 0])
-        _, grads = value_and_grads(head, cluster_loss(div, np.empty((2, n, n))), target, x)
+        _, grads = value_and_grads(head, support_pass_in(div, np.empty((2, n, n))), target, x)
         value = lambda: value_and_grads(head, cluster_loss(div), target, x)[0]
         assert step_gradcheck_error(grads, value, head.params()) <= TOL
 
@@ -382,19 +412,21 @@ class TestClusterStep:
            seed=st.integers(0, 2**32 - 1))
     def test_matches_dense_chain_on_batch_targets(self, inst, clusters, div, seed):
         # run_cluster's targets, rows with no neighbour in the batch uniform,
-        # in the front of a slab sized for the first batch
+        # in the front of a slab sized for the first batch, and through one
+        # kept loss, as run_cluster keeps it across an epoch's batches
         x, k, batches = inst
         nbrs = _knn_graph(x, k)
         pos = np.full(x.shape[0], -1, dtype=np.intp)
         head = ClusterHead.init(x.shape[1], clusters, np.random.default_rng(seed))
         slab = np.empty(2 * len(batches[0]) ** 2)
+        kept = cluster_loss(div)
         for idx in batches:
             b = len(idx)
             slab.fill(np.nan)
             front = slab[:2 * b * b].reshape(2, b, b)
             target, xb = _sub_rows(nbrs, idx, pos), x[idx]
             p = scatter(target, b)
-            phi = head_forward(head, xb)
+            phi = features(head, xb)
             q = cluster_transition(phi)
             if div == "TV" and np.any((p == 0.0) & (q == 0.0) & ~np.eye(b, dtype=bool)):
                 # the dense chain's derivative there is sign(0) / 2 = 0, the
@@ -402,13 +434,17 @@ class TestClusterStep:
                 # since the difference reaches it through phi_i * phi_j = 0
                 event("TV with an off-support q of exactly 0")
             loss, dq = loss_and_grad(div, p, q)
-            want, _ = head_backward(head, xb, cluster_transition_grad(phi, dq))
+            want, _ = head.backward(xb, head.forward(xb)[1], cluster_transition_grad(phi, dq))
             first_loss, first = value_and_grads(head, cluster_loss(div), target, xb)
             for buffers in (np.empty((2, b, b)), front):
-                fused_loss, grads = value_and_grads(head, cluster_loss(div, buffers), target, xb)
+                fused_loss, grads = value_and_grads(head, support_pass_in(div, buffers), target, xb)
                 assert fused_loss == first_loss
                 for name in want:
                     assert np.array_equal(grads[name], first[name]), name
+            kept_loss, kept_grads = value_and_grads(head, kept, target, xb)
+            assert kept_loss == first_loss
+            for name in want:
+                assert np.array_equal(kept_grads[name], first[name]), name
             # where p = q the dense loss and gradient are themselves roundoff,
             # and the step's 1 - sum_S q is a few ulps of 1
             assert_close_to_dense(first_loss, first, loss, want, loss_floor=1e-15, grad_floor=1e-14)
@@ -421,10 +457,12 @@ class TestClusterStep:
         p = supervisory_knn(x, 30)
         target = (np.flatnonzero(p), p[p > 0])
         head = ClusterHead.init(64, 10, rng)
-        buffers = np.empty((2, b, b))
+        # a kept loss allocates its slab on its first call
+        loss = cluster_loss(div)
+        value_and_grads(head, loss, target, x)
         tracemalloc.start()
         try:
-            value_and_grads(head, cluster_loss(div, buffers), target, x)
+            value_and_grads(head, loss, target, x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,7 +539,7 @@ class TestRunSne:
         report, emb = run_sne(cfg, ds.features)
         assert emb.shape == (20, 2)
         assert report.model.kind == "mlp1"
-        np.testing.assert_allclose(emb, forward(report.model, ds.features), atol=0)
+        np.testing.assert_allclose(emb, features(report.model, ds.features), atol=0)
 
     def test_snapshot_schedule(self):
         ds = toy_blobs(n=16, d=2)
@@ -714,7 +752,7 @@ class TestRunSupcon:
                "out_dim": 4, "seed": 9}
         a_report, _ = run_supcon(cfg, ds.features, ds.labels)
         b_report, _ = run_supcon(cfg, ds.features, ds.labels)
-        np.testing.assert_array_equal(forward(a_report.model, ds.features), forward(b_report.model, ds.features))
+        np.testing.assert_array_equal(features(a_report.model, ds.features), features(b_report.model, ds.features))
         assert a_report.losses == b_report.losses
 
     def test_batches_are_class_balanced(self):
