@@ -14,17 +14,19 @@ import json
 import logging
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, fields
 from itertools import product
 from pathlib import Path
 
-from .data import DatasetSpec, emit_report_csv, emit_scatter_svg, generate
+from .data import DatasetSpec, LabeledMatrix, _validate_spec, emit_report_csv, emit_scatter_svg, generate
 from .errors import ConfigError, DimensionError, DomainError, NumericalError, ParseError
 from .evaluation import METRICS, metric
 from .gradcheck import SCOPES, TOL, run_scope
 from .model import features, load_checkpoint, save_checkpoint
-from .trainers import CONFIG_KEYS, TASKS, resolve_config, run_cluster, run_sne, run_supcon
+from .trainers import (CONFIG_KEYS, TASKS, build_target, resolve_config, run_cluster, run_sne, run_supcon,
+                       target_key)
 
 LOG = logging.getLogger("bicon")
 
@@ -118,8 +120,12 @@ def _write_metrics_csv(path, rows, digest, seed, mode="w"):
         fh.write(header + "".join(f"{name},{value:.17g},{digest},{seed}\n" for name, value in rows))
 
 
-def _execute_run(task, loss, data, out_dir, config_path):
+def _execute_run(task, loss, data, out_dir, config_path, inputs=None):
     """One trainer invocation: resolve, train, and emit all output files.
+
+    inputs(cfg, spec), if given, returns the dataset and the engine's
+    one-off target (trainers.build_target), or None for the engine to
+    build; without it the dataset is generated here.
 
     Returns (manifest dict, final metric rows)."""
     declared = loss.get("task")
@@ -127,7 +133,7 @@ def _execute_run(task, loss, data, out_dir, config_path):
         raise ConfigError(f"config task {declared!r} does not match command {task!r}")
     cfg = resolve_config({**loss, "task": task})
     spec = DatasetSpec(**data)
-    dataset = generate(spec)
+    dataset, target = (generate(spec), None) if inputs is None else inputs(cfg, spec)
     x, labels = dataset.features, dataset.labels
 
     manifest = {"config": asdict(cfg), "data": asdict(spec)}
@@ -137,7 +143,8 @@ def _execute_run(task, loss, data, out_dir, config_path):
     manifest["out"] = str(out_dir)
 
     LOG.info("run %s -> %s (hash %s)", task, out_dir, digest)
-    report, output = {"sne": run_sne, "cluster": run_cluster, "supcon": run_supcon}[task](cfg, x, labels)
+    engine = {"sne": run_sne, "cluster": run_cluster, "supcon": run_supcon}[task]
+    report, output = engine(cfg, x, labels) if target is None else engine(cfg, x, labels, target)
 
     rows = [("loss", report.losses[-1])]
     rows += sorted(report.snapshots[-1][1].items())
@@ -155,6 +162,46 @@ def _execute_run(task, loss, data, out_dir, config_path):
     if output.ndim == 2 and output.shape[1] == 2:
         emit_scatter_svg(output, labels, out_dir / "scatter.svg")
     return manifest, rows
+
+
+class _Shared:
+    """Values that several sweep cells share, each built once: the first
+    cell that asks for a key builds its value under that key's lock, and
+    the value is dropped when the last cell counted for the key releases
+    it. A build that raises raises again in every cell that asks."""
+
+    def __init__(self, keys):
+        self._lock = threading.Lock()
+        self._entries = {}  # key -> [cells left, build lock, (value, exception) once built]
+        for key in keys:
+            self._entries.setdefault(key, [0, threading.Lock(), None])[0] += 1
+
+    def get(self, key, build):
+        entry = self._entries[key]
+        with entry[1]:
+            if entry[2] is None:
+                try:
+                    entry[2] = (build(), None)
+                except Exception as exc:
+                    entry[2] = (None, exc)
+        value, exc = entry[2]
+        if exc is not None:
+            raise exc
+        return value
+
+    def release(self, key):
+        with self._lock:
+            entry = self._entries[key]
+            entry[0] -= 1
+            if entry[0] == 0:
+                del self._entries[key]
+
+
+def _read_only(value):
+    """value, a dataset or a target array, with its arrays made read-only."""
+    for a in (value.features, value.labels) if isinstance(value, LabeledMatrix) else (value,):
+        a.flags.writeable = False
+    return value
 
 
 def cmd_run(args):
@@ -179,24 +226,51 @@ def cmd_run(args):
     cells = []
     for index, name, overrides in sweep_cells(axes):
         cell_loss, cell_data = split_config({**raw, **overrides})
-        resolve_config({**cell_loss, "task": args.task})
+        cfg = resolve_config({**cell_loss, "task": args.task})
+        spec = DatasetSpec(**cell_data)
+        _validate_spec(spec)
         if "seed" not in swept:
             # isolate each cell's RNG streams behind its own derived seed
             cell_loss["seed"] = loss.get("seed", 0) + index
-        cells.append((name, cell_loss, cell_data))
+        data_key = json.dumps(asdict(spec), sort_keys=True)
+        key = None if target_key(cfg) is None else (data_key, target_key(cfg))
+        cells.append((name, cell_loss, cell_data, data_key, key))
 
+    # each distinct dataset and target is built once, read-only, for the
+    # cells that share it; those cells are queued one after another and a
+    # key's arrays are dropped after its last cell, so that no more keys
+    # are alive at once than there are jobs, plus one
+    datasets = _Shared(data_key for *_, data_key, _ in cells)
+    targets = _Shared(key for *_, key in cells if key is not None)
+    rank = {}
+    for *_, data_key, key in cells:
+        rank.setdefault(data_key, len(rank))
+        rank.setdefault(key, len(rank))
+    order = sorted(range(len(cells)), key=lambda i: [rank[k] for k in cells[i][3:]])
     out_root = Path(args.out)
 
     def _worker(cell):
-        name, cell_loss, cell_data = cell
+        name, cell_loss, cell_data, data_key, key = cell
+
+        def inputs(cfg, spec):
+            dataset = datasets.get(data_key, lambda: _read_only(generate(spec)))
+            if key is None:
+                return dataset, None
+            return dataset, targets.get(key, lambda: _read_only(build_target(cfg, dataset.features)))
+
         try:
-            manifest, rows = _execute_run(args.task, cell_loss, cell_data, out_root / name, args.config)
+            manifest, rows = _execute_run(args.task, cell_loss, cell_data, out_root / name, args.config, inputs)
             return name, rows, manifest["hash"], manifest["config"]["seed"], None
         except NumericalError as exc:
-            return name, None, None, None, exc
+            return name, None, None, None, str(exc)
+        finally:
+            datasets.release(data_key)
+            if key is not None:
+                targets.release(key)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(pool.map(_worker, cells))
+        futures = {i: pool.submit(_worker, cells[i]) for i in order}
+        results = [futures[i].result() for i in range(len(cells))]
 
     aborted = False
     lines = ["cell,metric,value,hash,seed"]

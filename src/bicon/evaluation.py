@@ -44,32 +44,36 @@ def confusion_matrix(pred, truth):
         raise DimensionError("label vectors are empty")
     pv, pi = np.unique(p, return_inverse=True)
     tv, ti = np.unique(t, return_inverse=True)
-    counts = np.zeros((pv.shape[0], tv.shape[0]), dtype=np.int64)
-    np.add.at(counts, (pi, ti), 1)
+    counts = np.bincount(pi * len(tv) + ti, minlength=len(pv) * len(tv)).reshape(len(pv), len(tv))
     return counts, pv, tv
 
 
 def _min_cost_assignment(cost):
-    # potentials + shortest augmenting column, O(n^3); exact for any floats
+    # potentials + shortest augmenting column, O(n^3); exact for any floats.
+    # The loops run on Python floats and lists: indexing a numpy array one
+    # element at a time costs more than the arithmetic, which is the same
     n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    match = np.zeros(n + 1, dtype=int)  # match[j] = row assigned to column j, 1-based
-    way = np.zeros(n + 1, dtype=int)
+    rows = cost.tolist()
+    inf = float("inf")
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    match = [0] * (n + 1)  # match[j] = row assigned to column j, 1-based
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
-            delta = np.inf
+            row, ui = rows[i0 - 1], u[i0]
+            delta = inf
             j1 = 0
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0

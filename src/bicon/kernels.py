@@ -551,17 +551,6 @@ def cluster_transition(assignments):
 def _cluster_transition(assignments):
     """cluster_transition's rows q and their overlap sums r (N x 1), which
     cluster_transition_grad reuses."""
-    G, r = _cluster_overlaps(assignments)
-    G /= r
-    return G, r
-
-
-def _cluster_overlaps(assignments, out=None):
-    """The overlaps G = phi phi.T, diagonal zeroed, written into out if
-    given, and their row sums r (N x 1), after cluster_transition's
-    checks: q = G / r. G comes from one BLAS product with a contiguous
-    copy of phi.T (OpenBLAS takes a slower path for a transposed view of
-    its other operand), so it need not be symmetric bit for bit."""
     phi = np.asarray(assignments, dtype=float)
     if phi.ndim != 2 or phi.shape[0] < 2:
         raise DimensionError(f"expected an N x C assignment matrix with N >= 2, got shape {phi.shape}")
@@ -570,6 +559,20 @@ def _cluster_overlaps(assignments, out=None):
     err = np.max(np.abs(phi.sum(axis=1) - 1.0))
     if err > SIMPLEX_TOL:
         raise DomainError(f"assignment rows must sum to 1 within {SIMPLEX_TOL}, worst error {err!r}")
+    G, r = _cluster_overlaps(phi)
+    G /= r
+    return G, r
+
+
+def _cluster_overlaps(phi, out=None):
+    """The overlaps G = phi phi.T, diagonal zeroed, written into out if
+    given, and their row sums r (N x 1): q = G / r. phi (N x C, N >= 2)
+    is not checked here; the cluster step takes it from a softmax head,
+    whose rows are on the simplex. A row with no overlap raises
+    DegenerateRowError with its index. G comes from one BLAS product with
+    a contiguous copy of phi.T (OpenBLAS takes a slower path for a
+    transposed view of its other operand), so it need not be symmetric
+    bit for bit."""
     G = np.matmul(phi, np.ascontiguousarray(phi.T), out=out)
     np.fill_diagonal(G, 0.0)
     r = G.sum(axis=1, keepdims=True)

@@ -166,8 +166,11 @@ def features(model, x):
 
 
 def softmax_rows(logits):
-    """Row softmax; each row is shifted by its maximum before exponentiation."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """Row softmax; each row is shifted by its maximum before exponentiation.
+    The maxima are taken down the columns of a contiguous copy of
+    logits.T, which is faster than reducing many short rows and, max being
+    exact, gives the same bits."""
+    shifted = logits - np.maximum.reduce(np.ascontiguousarray(logits.T), axis=0)[:, None]
     w = np.exp(shifted)
     return w / w.sum(axis=1, keepdims=True)
 

@@ -6,7 +6,9 @@ with a uniform marginal over i, gradients flowing only into q, and one
 loop, _train: batches of (target p, inputs), one value_and_grads step and
 one Adam step per batch, metric snapshots every eval_every epochs. Each
 engine supplies only its target, model, loss, batches and metrics, and
-returns the report and the model's features on its points. run_sne embeds
+returns the report and the model's features on its points. An engine's
+one-off target (build_target) may be built by the caller and handed in,
+so that a sweep builds each once for the cells that share it. run_sne embeds
 points in 2-D against Gaussian conditional rows, one full batch per epoch;
 run_cluster fits a softmax head whose assignment overlaps match a
 k-nearest-neighbor graph; run_supcon fits an encoder whose kernel rows
@@ -258,6 +260,12 @@ def _cluster_support_pass(divergence, support, p, phi, buffers=None):
     derivative along q >= 0, where the dense chain's sign(0) gives 0. The
     result agrees with the dense chain to roundoff, not bit for bit.
 
+    phi is not checked to be on the simplex, as cluster_transition checks
+    it: the step takes it from the head's softmax, whose rows are finite,
+    non-negative and sum to 1 (a property test holds it to that). Non-finite
+    rows give a non-finite loss, which _train turns into a NumericalError;
+    a row with no overlap still raises DegenerateRowError with its index.
+
     The first 2 N^2 floats of buffers (allocated here if None) make two
     N x N parts, the overlaps phi phi.T and h; S's dD/dq is allocated.
     """
@@ -356,19 +364,37 @@ def _snapshot(model, x, labels, names, seed):
     return evaluate
 
 
-def run_sne(config, x, labels=None):
+def build_target(cfg, x):
+    """The one-off target of cfg's engine for the points x: SNE's
+    Gaussian conditional rows P, the cluster engine's N x k neighbor
+    indices; supcon, whose targets are built per batch, has none (None).
+    It depends on x and on target_key(cfg) alone."""
+    if cfg.task == "sne":
+        return supervisory_sne(x, cfg.perplexity)
+    if cfg.task == "cluster":
+        return _knn_graph(x, cfg.k)
+    return None
+
+
+def target_key(cfg):
+    """The config value, besides the points, that build_target(cfg, x)
+    depends on; None for an engine without a one-off target."""
+    return {"sne": cfg.perplexity, "cluster": cfg.k}.get(cfg.task)
+
+
+def run_sne(config, x, labels=None, target=None):
     """Full-batch 2-D embedding against Gaussian conditional rows.
 
     cfg.mode 'free' trains one row per point (initialized from x itself
     when x already has out_dim columns); 'parametric' trains an encoder.
-    Supervisory rows are computed once; each epoch is one full-batch Adam
-    step.
+    Supervisory rows, build_target(cfg, x), are given as target or
+    computed here once; each epoch is one full-batch Adam step.
     """
     cfg = resolve_config(config)
     if cfg.task != "sne":
         raise ConfigError(f"run_sne got a config for task {cfg.task!r}")
     x = np.asarray(x, dtype=float)
-    p = supervisory_sne(x, cfg.perplexity)
+    p = build_target(cfg, x) if target is None else target
     spec = KernelSpec(cfg.kernel, cfg.scale)
     rng = np.random.default_rng([cfg.seed, 1])
     if cfg.mode == "free":
@@ -414,11 +440,12 @@ def _in_batch(slot, start, b):
     return (hit // slot.shape[1] + start) * b + slot.ravel()[hit]
 
 
-def run_cluster(config, x, labels=None):
+def run_cluster(config, x, labels=None, target=None):
     """Mini-batched cluster-head training against a kNN neighbor graph.
 
-    The graph is held as each point's k neighbor indices, found once up
-    front, never as a dense N x N matrix. Each epoch shuffles the points
+    The graph is held as each point's k neighbor indices,
+    build_target(cfg, x), given as target or found here once up front,
+    never as a dense N x N matrix. Each epoch shuffles the points
     into batches (a trailing batch of fewer than 4 is dropped); a batch's
     target is its support and weights (_sub_rows). Snapshots record
     assignment accuracy when labels are given.
@@ -427,7 +454,7 @@ def run_cluster(config, x, labels=None):
     x = np.asarray(x, dtype=float)
     if cfg.task != "cluster":
         raise ConfigError(f"run_cluster got a config for task {cfg.task!r}")
-    nbrs = _knn_graph(x, cfg.k)
+    nbrs = build_target(cfg, x) if target is None else target
     pos = np.full(x.shape[0], -1, dtype=np.intp)
     head = ClusterHead.init(x.shape[1], cfg.clusters, np.random.default_rng([cfg.seed, 1]))
     shuffle_rng = np.random.default_rng([cfg.seed, 7])

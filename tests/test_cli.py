@@ -5,12 +5,15 @@ import json
 import struct
 import subprocess
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bicon import divergences
+from bicon import cli, divergences, trainers
 from bicon.cli import (
     EXIT_CONFIG,
     EXIT_GRADCHECK,
@@ -23,7 +26,7 @@ from bicon.cli import (
     sweep_cells,
 )
 from bicon.data import DatasetSpec, LabeledMatrix, generate, save_binary, save_csv
-from bicon.errors import ConfigError
+from bicon.errors import ConfigError, NumericalError
 from bicon.evaluation import METRICS
 from bicon.gradcheck import SCOPES, TOL, run_scope
 from bicon.model import CHECKPOINT_MAGIC, ClusterHead, FreeEmbedding, save_checkpoint
@@ -436,6 +439,7 @@ class TestSweep:
     @pytest.mark.parametrize("task, config, sweep, cells", [
         ("sne", sne_config(), "divergence=KL,TV,JSD,Hellinger", 4),
         ("supcon", supcon_config(), "kernel=distance,angular", 2),
+        ("cluster", cluster_config(), "divergence=KL,TV,JSD,Hellinger", 4),
     ])
     def test_two_jobs_write_the_bytes_of_one(self, tmp_path, task, config, sweep, cells):
         # each run's loss owns its scratch; cells sharing any would diverge under two threads
@@ -468,6 +472,14 @@ class TestSweep:
         assert rc == EXIT_CONFIG
         assert not out.exists()
 
+    def test_bad_data_sweep_value_fails_before_any_training(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "cfg.json", sne_config())
+        out = tmp_path / "o"
+        rc = main(["run", "sne", "--config", cfg, "--out", str(out), "--sweep", "data_seed=1,-1"])
+        assert rc == EXIT_CONFIG
+        assert "need seed >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_jobs_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", sne_config())
         rc = main([
@@ -476,6 +488,181 @@ class TestSweep:
         ])
         assert rc == EXIT_CONFIG
         assert "--jobs" in capsys.readouterr().err
+
+
+def run_files(out):
+    """Each output file of a run directory by name, as bytes; the manifest
+    without the fields that name the config file and output directory."""
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["out"], manifest["config_path"]
+    files["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
+    return files
+
+
+def counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records the arguments of each
+    call; returns the list of calls."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSweepSharesInputs:
+    """Each distinct dataset and one-off target of a sweep is built once and
+    handed read-only to the cells that share it."""
+
+    def test_shared_values_under_thread_contention(self):
+        # eight threads on two cores, switching every microsecond: each key
+        # is built once, every cell gets that one value, and the last
+        # release of each key drops it
+        keys = [i % 5 for i in range(40)]
+        shared = cli._Shared(keys)
+        builds, got, lock = [], [], threading.Lock()
+
+        def build(key):
+            with lock:
+                builds.append(key)
+            time.sleep(1e-3)
+            return object()
+
+        def cell(key):
+            value = shared.get(key, lambda: build(key))
+            with lock:
+                got.append((key, value))
+            shared.release(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda chunk=keys[i::8]: [cell(k) for k in chunk]) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(builds) == list(range(5))
+        assert len(got) == 40 and len({(key, id(value)) for key, value in got}) == 5
+        assert shared._entries == {}
+
+    @pytest.mark.parametrize("task, config, sweep, knn, sne", [
+        ("cluster", cluster_config(), ["divergence=KL,TV,JSD,Hellinger"], 1, 0),
+        ("cluster", cluster_config(), ["k=5,10"], 2, 0),
+        ("cluster", cluster_config(), ["data_seed=1,2"], 2, 0),
+        ("cluster", cluster_config(), ["data_seed=1,2", "k=5,10", "divergence=KL,TV"], 4, 0),
+        ("sne", sne_config(), ["divergence=KL,TV,JSD,Hellinger"], 0, 1),
+        ("sne", sne_config(), ["perplexity=5,6", "divergence=KL,TV"], 0, 2),
+        ("supcon", supcon_config(), ["divergence=KL,TV", "kernel=distance,angular"], 0, 0),
+    ], ids=["cluster-divergence", "cluster-k", "cluster-data_seed", "cluster-grid", "sne-divergence",
+            "sne-perplexity", "supcon"])
+    def test_one_build_per_distinct_target(self, tmp_path, monkeypatch, task, config, sweep, knn, sne):
+        graphs = counting(monkeypatch, trainers, "_knn_graph")
+        rows = counting(monkeypatch, trainers, "supervisory_sne")
+        datasets = counting(monkeypatch, cli, "generate")
+        cfg = write_json(tmp_path / "cfg.json", config)
+        argv = ["run", task, "--config", cfg, "--out", str(tmp_path / "o")]
+        for axis in sweep:
+            argv += ["--sweep", axis]
+        assert main(argv + ["--jobs", "2"]) == EXIT_OK
+        assert (len(graphs), len(rows)) == (knn, sne)
+        assert len(datasets) == (2 if any(axis.startswith("data_seed") for axis in sweep) else 1)
+
+    @pytest.mark.parametrize("task, config, array", [
+        ("cluster", cluster_config(), "target"),
+        ("sne", sne_config(), "target"),
+        ("supcon", supcon_config(), "features"),
+        ("cluster", cluster_config(), "labels"),
+    ])
+    def test_a_cell_that_writes_to_a_shared_array_raises(self, tmp_path, monkeypatch, task, config, array):
+        engine = f"run_{task}"
+        real = getattr(cli, engine)
+
+        def writing(cfg, x, labels, target=None):
+            {"target": target, "features": x, "labels": labels}[array][0] = 0
+            return real(cfg, x, labels)
+
+        monkeypatch.setattr(cli, engine, writing)
+        cfg = write_json(tmp_path / "cfg.json", config)
+        with pytest.raises(ValueError, match="read-only"):
+            main(["run", task, "--config", cfg, "--out", str(tmp_path / "o"), "--sweep", "divergence=KL,TV"])
+
+    @pytest.mark.parametrize("task, config, sweep", [
+        ("sne", sne_config(), ["data_seed=1,2", "divergence=KL,Hellinger"]),
+        ("cluster", cluster_config(), ["divergence=JSD,TV", "k=4,6"]),
+        ("supcon", supcon_config(), ["kernel=distance,angular"]),
+    ])
+    def test_each_cell_writes_the_bytes_of_its_single_run(self, tmp_path, task, config, sweep):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        argv = ["run", task, "--config", cfg, "--out", str(tmp_path / "sweep"), "--jobs", "2"]
+        for axis in sweep:
+            argv += ["--sweep", axis]
+        assert main(argv) == EXIT_OK
+        for index, name, overrides in sweep_cells(parse_sweep(sweep)):
+            single = write_json(tmp_path / f"{index}.json", {**config, **overrides, "seed": config["seed"] + index})
+            out = tmp_path / f"single{index}"
+            assert main(["run", task, "--config", single, "--out", str(out)]) == EXIT_OK
+            assert run_files(tmp_path / "sweep" / name) == run_files(out), name
+
+    def test_targets_alive_at_once_stay_within_the_jobs(self, tmp_path, monkeypatch):
+        # cells that share a target run one after another, and a target is
+        # dropped after its last cell: with two jobs, at most three graphs
+        # (two in use, one just built or about to be dropped) are alive
+        lock = threading.Lock()
+        alive, peak, built = [0], [0], []
+        real = trainers._knn_graph
+
+        def tracked(x, k):
+            graph = real(x, k)
+            with lock:
+                alive[0] += 1
+                peak[0] = max(peak[0], alive[0])
+                built.append(k)
+            weakref.finalize(graph, lambda: alive.__setitem__(0, alive[0] - 1))
+            return graph
+
+        monkeypatch.setattr(trainers, "_knn_graph", tracked)
+        cfg = write_json(tmp_path / "cfg.json", cluster_config(epochs=1))
+        assert main(["run", "cluster", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "2",
+                     "--sweep", "divergence=KL,TV,JSD", "--sweep", "data_seed=1,2,3,4,5"]) == EXIT_OK
+        assert len(built) == 5
+        assert 1 <= peak[0] <= 3
+        assert alive[0] == 0
+
+    def test_a_failed_build_aborts_exactly_the_cells_that_share_it(self, tmp_path, monkeypatch, capsys):
+        real = trainers.supervisory_sne
+        calls = []
+
+        def failing(x, perplexity):
+            calls.append(perplexity)
+            if perplexity == 6:
+                raise NumericalError("bandwidth search did not converge", row=3)
+            return real(x, perplexity)
+
+        monkeypatch.setattr(trainers, "supervisory_sne", failing)
+        cfg = write_json(tmp_path / "cfg.json", sne_config())
+        out = tmp_path / "o"
+        rc = main(["run", "sne", "--config", cfg, "--out", str(out), "--jobs", "2",
+                   "--sweep", "divergence=KL,TV", "--sweep", "perplexity=5,6"])
+        assert rc == EXIT_NUMERICAL
+        assert sorted(calls) == [5, 6]
+        err = capsys.readouterr().err.splitlines()
+        aborted = sorted(line.split(":")[0] for line in err if "numerical abort" in line)
+        assert aborted == ["divergence=KL_perplexity=6", "divergence=TV_perplexity=6"]
+        lines = (out / "sweep.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert sorted({line.split(",")[0] for line in lines}) == ["divergence=KL_perplexity=5",
+                                                                 "divergence=TV_perplexity=5"]
+        for name in ("divergence=KL_perplexity=5", "divergence=TV_perplexity=5"):
+            assert (out / name / "checkpoint.bicn").is_file()
+        for name in aborted:
+            assert not (out / name).exists()
 
 
 class TestEvalCommand:

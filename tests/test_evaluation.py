@@ -25,6 +25,45 @@ from bicon.evaluation import (
 from bicon.kernels import squared_distances
 
 
+def indexed_min_cost_assignment(cost):
+    """_min_cost_assignment as it was written before its loops moved to
+    Python lists: the same float operations in the same order, on numpy
+    arrays indexed one element at a time. The reference for its result."""
+    n = cost.shape[0]
+    u, v = np.zeros(n + 1), np.zeros(n + 1)
+    match, way = np.zeros(n + 1, dtype=int), np.zeros(n + 1, dtype=int)
+    for i in range(1, n + 1):
+        match[0], j0 = i, 0
+        minv, used = np.full(n + 1, np.inf), np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0, delta, j1 = match[j0], np.inf, 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j], way[j] = cur, j0
+                if minv[j] < delta:
+                    delta, j1 = minv[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+    col_for_row = np.zeros(n, dtype=int)
+    col_for_row[match[1:] - 1] = np.arange(n)
+    return col_for_row
+
+
 def brute_force_assignment(weights):
     n = weights.shape[0]
     best = -np.inf
@@ -110,6 +149,37 @@ class TestAssignment:
         truth = np.array([0, 0, 1, 1])
         pred = np.array([0, 1, 2, 3])
         assert hungarian_accuracy(pred, truth) == pytest.approx(0.5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 6), levels=st.integers(1, 5), exponent=st.integers(-5, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_with_ties(self, n, levels, exponent, seed):
+        # few distinct weights, so that many assignments tie for the best
+        rng = np.random.default_rng(seed)
+        w = rng.integers(0, levels, (n, n)) * 10.0 ** exponent
+        got = max_assignment(w)
+        assert sorted(got.col_for_row.tolist()) == list(range(n))
+        assert got.matched == pytest.approx(brute_force_assignment(w), rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 17), levels=st.sampled_from([2, 3, 5, 0]), exponent=st.integers(-5, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_assignment_as_indexed_loops(self, n, levels, exponent, seed):
+        # levels 0: continuous weights; otherwise few distinct ones, with ties
+        rng = np.random.default_rng(seed)
+        w = (rng.integers(0, levels, (n, n)) if levels else rng.normal(size=(n, n))) * 10.0 ** exponent
+        cost = w.max() - w
+        assert np.array_equal(evaluation._min_cost_assignment(cost), indexed_min_cost_assignment(cost))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3, 5), st.integers(0, 8)), min_size=1, max_size=60))
+    def test_confusion_matrix_counts_every_pair(self, pairs):
+        pred, truth = (np.array(column) for column in zip(*pairs))
+        m, pred_ids, true_ids = confusion_matrix(pred, truth)
+        assert m.dtype == np.int64
+        assert m.shape == (len(set(pred.tolist())), len(set(truth.tolist())))
+        for (i, p), (j, t) in itertools.product(enumerate(pred_ids), enumerate(true_ids)):
+            assert m[i, j] == pairs.count((p, t))
 
     def test_confusion_matrix_counts(self):
         truth = np.array([0, 0, 1, 1, 1])

@@ -4,7 +4,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bicon.divergences import SIMPLEX_TOL
 from bicon.errors import DimensionError, NumericalError, ParseError
 from bicon.model import (
     CHECKPOINT_MAGIC,
@@ -15,6 +18,7 @@ from bicon.model import (
     features,
     load_checkpoint,
     save_checkpoint,
+    softmax_rows,
 )
 
 
@@ -117,6 +121,50 @@ class TestClusterHead:
         probs = features(head, x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs >= 0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 300), d=st.integers(1, 8), clusters=st.integers(1, 12),
+           exponent=st.integers(-60, 1022), identity=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_on_simplex_up_to_the_overflow_edge(self, n, d, clusters, exponent, identity, seed):
+        # the cluster step relies on this instead of checking phi: finite,
+        # non-negative rows summing to 1 for any finite logits whose row
+        # differences do not overflow, here up to |logit| < 2**1022
+        rng = np.random.default_rng(seed)
+        scale = 2.0 ** exponent
+        if identity:
+            # an identity head passes x through, so the logits are exactly x
+            head, x = ClusterHead(np.eye(clusters), np.zeros(clusters)), rng.uniform(-1, 1, (n, clusters)) * scale
+        else:
+            head = ClusterHead(rng.uniform(-1, 1, (d, clusters)) * scale / d, rng.uniform(-1, 1, clusters) * scale / 2)
+            x = rng.uniform(-1, 1, (n, d)) / 2
+        probs = features(head, x)
+        assert np.all(np.isfinite(probs)) and np.all(probs >= 0.0)
+        assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= SIMPLEX_TOL
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 40), clusters=st.integers(1, 14), exponent=st.integers(-3, 300),
+           special=st.sampled_from(["none", "nan", "-inf row", "ties and signed zeros"]),
+           fortran=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_softmax_bits_equal_the_row_max_form(self, n, clusters, exponent, special, fortran, seed):
+        # the maxima taken down the columns of logits.T are the row maxima,
+        # bit for bit, so the rows keep their bits
+        rng = np.random.default_rng(seed)
+        logits = rng.normal(size=(n, clusters)) * 10.0 ** exponent
+        if special == "nan":
+            logits[rng.random((n, clusters)) < 0.2] = np.nan
+        elif special == "-inf row":
+            logits[rng.integers(0, n)] = -np.inf
+        elif special == "ties and signed zeros":
+            logits = np.round(logits / 10.0 ** exponent)
+            logits[rng.random((n, clusters)) < 0.3] = -0.0
+        if fortran:
+            logits = np.asfortranarray(logits)
+        with np.errstate(invalid="ignore", over="ignore"):
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            w = np.exp(shifted)
+            want = w / w.sum(axis=1, keepdims=True)
+            got = softmax_rows(logits)
+        assert got.tobytes() == want.tobytes()
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(8)

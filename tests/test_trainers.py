@@ -35,6 +35,7 @@ from bicon.trainers import (
     _cluster_support_pass,
     _collapsed,
     _sub_rows,
+    _train,
     cluster_loss,
     kernel_loss,
     resolve_config,
@@ -467,6 +468,23 @@ class TestClusterStep:
         finally:
             tracemalloc.stop()
         assert peak < 8 * b * b / 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("div", DIVS)
+    def test_non_finite_batch_aborts_with_its_step(self, div, bad):
+        # the step does not check phi; a non-finite batch still ends in a
+        # NumericalError that carries the step where it happened
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(12, 3))
+        target = _sub_rows(_knn_graph(x, 3), np.arange(12), np.full(12, -1, dtype=np.intp))
+        poisoned = x.copy()
+        poisoned[4, 1] = bad
+        cfg = resolve_config({"task": "cluster", "divergence": div, "clusters": 3, "epochs": 1})
+        head = ClusterHead.init(3, 3, rng)
+        batches = lambda: [(target, x), (target, x), (target, poisoned)]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as err:
+            _train(cfg, head, batches, cluster_loss(div), dict)
+        assert (err.value.step, err.value.divergence) == (2, div)
 
     def test_target_of_a_larger_batch_is_a_dimension_error(self):
         # the gathers clip out-of-range indices, so the step checks S's last
