@@ -30,7 +30,7 @@ from bicon.kernels import (
     supervisory_sne,
     validate_distribution,
 )
-from bicon.model import ClusterHead, Encoder, FreeEmbedding, features
+from bicon.model import Adam, ClusterHead, Encoder, FreeEmbedding, features
 from bicon.trainers import (
     _cluster_support_pass,
     _collapsed,
@@ -693,6 +693,47 @@ class TestRunCluster:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n / 4
+
+
+class TestGradClip:
+    def test_adam_gets_tensors_over_the_limit_scaled_to_it(self, monkeypatch):
+        # grad_clip scales each tensor whose norm exceeds it to that norm and
+        # leaves the others as they are; the report keeps the norms before
+        import bicon.trainers
+
+        made, taken = [], []
+        real_step, real_adam = bicon.trainers.value_and_grads, Adam.step
+
+        def making(model, loss, p, x):
+            value, grads = real_step(model, loss, p, x)
+            made.append({name: g.copy() for name, g in grads.items()})
+            return value, grads
+
+        def taking(self, grads):
+            taken.append({name: g.copy() for name, g in grads.items()})
+            return real_adam(self, grads)
+
+        monkeypatch.setattr(bicon.trainers, "value_and_grads", making)
+        monkeypatch.setattr(Adam, "step", taking)
+        limit = 0.5
+        cfg = {"task": "cluster", "divergence": "KL", "clusters": 3, "k": 4, "lr": 0.05,
+               "epochs": 4, "batch_size": 12, "seed": 5, "grad_clip": limit}
+        report, _ = run_cluster(cfg, toy_blobs(n=24, classes=3).features)
+        assert len(made) == len(taken) == len(report.losses) == 8
+        over = under = 0
+        for before, after in zip(made, taken):
+            for name, g in before.items():
+                norm = np.sqrt(np.sum(g * g))
+                if norm > limit:
+                    over += 1
+                    assert np.sqrt(np.sum(after[name] ** 2)) == pytest.approx(limit, rel=1e-14)
+                    np.testing.assert_allclose(after[name], g * (limit / norm), rtol=1e-14, atol=0)
+                else:
+                    under += 1
+                    assert np.array_equal(after[name], g), name
+        assert over and under
+        assert report.grad_norms == {name: [float(np.sqrt(np.sum(s[name] ** 2))) for s in made]
+                                     for name in ("W", "b")}
 
 
 def dense_sub_rows(p, idx):
