@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -95,6 +96,8 @@ def parse_sweep(flags):
         tokens = rest.split(",") if rest else []
         if not sep or not key or not tokens or any(t == "" for t in tokens):
             raise ConfigError(f"malformed --sweep {flag!r}; expected key=v1,v2,...")
+        if key in (other for other, _, _ in axes) or len(set(tokens)) < len(tokens):
+            raise ConfigError(f"--sweep {flag!r} repeats a value or the key of another axis")
         axes.append((key, tokens, [_parse_token(t) for t in tokens]))
     return axes
 
@@ -321,6 +324,8 @@ def cmd_eval(args):
         if not isinstance(config, dict):
             raise ParseError(f"manifest {manifest_path} is not an object with a 'config' object")
         digest = manifest.get("hash")
+        if not (digest is None or isinstance(digest, str) and re.fullmatch("[0-9a-f]{16}", digest)):
+            raise ParseError(f"manifest {manifest_path} has hash {digest!r}, not 16 lowercase hex digits")
         if seed is None:
             seed = config.get("seed")
             if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):

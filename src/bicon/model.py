@@ -51,8 +51,8 @@ class FreeEmbedding:
         return self.table, None
 
     def backward(self, x, cache, dL_dout):
-        """The table's gradient is dL/dout itself; x has none."""
-        return {"embedding": dL_dout}, None
+        """The table's gradient is dL/dout itself."""
+        return {"embedding": dL_dout}
 
 
 class Encoder:
@@ -105,22 +105,21 @@ class Encoder:
         return h @ self.W2 + self.b2, h
 
     def backward(self, x, h, dL_dout):
-        """Parameter gradients and dL/dx, given h from forward(x)."""
+        """Parameter gradients, given h from forward(x)."""
         x = np.asarray(x, dtype=float)
         g = np.asarray(dL_dout, dtype=float)
         if g.ndim != 2 or g.shape[0] != x.shape[0]:
             raise DimensionError(f"gradient shape {g.shape} does not match input {x.shape}")
         if self.kind == "linear":
-            return {"W1": x.T @ g, "b1": g.sum(axis=0)}, g @ self.W1.T
+            return {"W1": x.T @ g, "b1": g.sum(axis=0)}
         dh = g @ self.W2.T
         da = dh * (1.0 - h * h)  # tanh' = 1 - tanh^2
-        grads = {
+        return {
             "W1": x.T @ da,
             "b1": da.sum(axis=0),
             "W2": h.T @ g,
             "b2": g.sum(axis=0),
         }
-        return grads, da @ self.W1.T
 
 
 class ClusterHead:
@@ -149,14 +148,14 @@ class ClusterHead:
         return probs, probs
 
     def backward(self, x, probs, dL_dprobs):
-        """Parameter gradients and dL/dx through the softmax, given probs
-        from forward(x)."""
+        """Parameter gradients through the softmax, given probs from
+        forward(x)."""
         x = np.asarray(x, dtype=float)
         g = np.asarray(dL_dprobs, dtype=float)
         if g.shape != probs.shape:
             raise DimensionError(f"gradient shape {g.shape} does not match assignments {probs.shape}")
         dlogits = probs * (g - np.sum(g * probs, axis=1, keepdims=True))
-        return {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}, dlogits @ self.W.T
+        return {"W": x.T @ dlogits, "b": dlogits.sum(axis=0)}
 
 
 def features(model, x):

@@ -4,9 +4,9 @@ ones under a chosen divergence.
 Three engines share one loss, the mean over points i of D(p(.|i) || q(.|i))
 with a uniform marginal over i, gradients flowing only into q, and one
 loop, _train: batches of (target p, inputs), one value_and_grads step and
-one Adam step per batch, metric snapshots every eval_every epochs. Each
-engine supplies only its target, model, loss, batches and metrics, and
-returns the report and the model's features on its points. An engine's
+one Adam step per batch, metric snapshots every eval_every epochs, and the
+report and the model's features on its points at the end. Each engine
+supplies only its target, model, loss, batches and metric names. An engine's
 one-off target (build_target) may be built by the caller and handed in,
 so that a sweep builds each once for the cells that share it. run_sne embeds
 points in 2-D against Gaussian conditional rows, one full batch per epoch;
@@ -184,8 +184,7 @@ def value_and_grads(model, loss, p, x):
     backward, which reuses the forward's cache."""
     out, cache = model.forward(x)
     value, dL_dout = loss(p, out)
-    grads, _ = model.backward(x, cache, dL_dout)
-    return value, grads
+    return value, model.backward(x, cache, dL_dout)
 
 
 # The two losses below are a step's whole divergence. p must be a valid
@@ -301,15 +300,16 @@ def _cluster_support_pass(divergence, support, p, phi, buffers=None):
     return float(loss), dphi
 
 
-def _train(cfg, model, batches, loss, evaluate):
-    """The training loop of every engine.
+def _train(cfg, model, batches, loss, x, labels, names):
+    """The training loop of every engine; returns the report and the
+    model's features on the points x, those of its last snapshot.
 
-    Each epoch, batches() yields (p, inputs) pairs, p valid by construction;
-    value_and_grads(model, loss, p, inputs) gives the step's loss and
-    gradients, and Adam takes one step. evaluate() gives the metric
-    dict snapshotted after every eval_every-th epoch and the last.
-    Overflow anywhere in a step aborts with the step index and divergence
-    tag attached.
+    Each epoch, batches() yields (p, inputs) pairs, p valid by construction,
+    for one value_and_grads step and one Adam step each; a gradient tensor
+    whose norm, once recorded, exceeds cfg.grad_clip > 0 is scaled to it.
+    The named metrics of the features (none without labels) are snapshotted
+    after every eval_every-th epoch and the last. Overflow anywhere in a step
+    aborts with the step index and divergence tag attached.
     """
     params = model.params()
     opt = Adam(params, lr=cfg.lr)
@@ -325,8 +325,11 @@ def _train(cfg, model, batches, loss, evaluate):
                     raise NumericalError("non-finite loss")
                 report.losses.append(value)
                 for name, g in grads.items():
-                    report.grad_norms[name].append(float(np.sqrt(np.sum(g * g))))
-                opt.step(_clip(grads, cfg.grad_clip))
+                    norm = float(np.sqrt(np.sum(g * g)))
+                    report.grad_norms[name].append(norm)
+                    if 0.0 < cfg.grad_clip < norm:
+                        g *= cfg.grad_clip / norm
+                opt.step(grads)
             except (NumericalError, DomainError) as exc:
                 raise NumericalError(
                     f"non-finite values at step {step} (divergence {cfg.divergence}): {exc}",
@@ -337,31 +340,19 @@ def _train(cfg, model, batches, loss, evaluate):
         if step == first:
             raise ConfigError(f"epoch {epoch} has no batch of at least 4 points")
         if (epoch + 1) % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
-            metrics = evaluate()
+            z = features(model, x)
+            metrics = {} if labels is None else {name: metric(name, z, labels, cfg.seed) for name in names}
             report.snapshots.append((step - 1, metrics))
             LOG.info("%s epoch %d loss %.6g %s", cfg.task, epoch, value, metrics)
-    return report
+    return report, z
 
 
-def _clip(grads, limit):
-    if limit <= 0.0:
-        return grads
-    for g in grads.values():
-        norm = float(np.sqrt(np.sum(g * g)))
-        if norm > limit:
-            g *= limit / norm
-    return grads
-
-
-def _snapshot(model, x, labels, names, seed):
-    """_train's evaluate: the named metrics (evaluation.metric) of the
-    model's features on x; none without labels."""
-    def evaluate():
-        if labels is None:
-            return {}
-        z = features(model, x)
-        return {name: metric(name, z, labels, seed) for name in names}
-    return evaluate
+def _resolve(config, task, x):
+    """run_<task>'s resolved config, checked to be for that task, and x as floats."""
+    cfg = resolve_config(config)
+    if cfg.task != task:
+        raise ConfigError(f"run_{task} got a config for task {cfg.task!r}")
+    return cfg, np.asarray(x, dtype=float)
 
 
 def build_target(cfg, x):
@@ -390,10 +381,7 @@ def run_sne(config, x, labels=None, target=None):
     Supervisory rows, build_target(cfg, x), are given as target or
     computed here once; each epoch is one full-batch Adam step.
     """
-    cfg = resolve_config(config)
-    if cfg.task != "sne":
-        raise ConfigError(f"run_sne got a config for task {cfg.task!r}")
-    x = np.asarray(x, dtype=float)
+    cfg, x = _resolve(config, "sne", x)
     p = build_target(cfg, x) if target is None else target
     spec = KernelSpec(cfg.kernel, cfg.scale)
     rng = np.random.default_rng([cfg.seed, 1])
@@ -405,9 +393,7 @@ def run_sne(config, x, labels=None, target=None):
     else:
         model = Encoder.init(cfg.encoder, x.shape[1], cfg.hidden, cfg.out_dim, rng)
     names = ("knn", "silhouette") if labels is not None and len(np.unique(labels)) >= 2 else ("knn",)
-    loss = kernel_loss(cfg.divergence, spec)
-    report = _train(cfg, model, lambda: [(p, x)], loss, _snapshot(model, x, labels, names, cfg.seed))
-    return report, features(model, x)
+    return _train(cfg, model, lambda: [(p, x)], kernel_loss(cfg.divergence, spec), x, labels, names)
 
 
 def _sub_rows(nbrs, idx, pos):
@@ -450,10 +436,7 @@ def run_cluster(config, x, labels=None, target=None):
     target is its support and weights (_sub_rows). Snapshots record
     assignment accuracy when labels are given.
     """
-    cfg = resolve_config(config)
-    x = np.asarray(x, dtype=float)
-    if cfg.task != "cluster":
-        raise ConfigError(f"run_cluster got a config for task {cfg.task!r}")
+    cfg, x = _resolve(config, "cluster", x)
     nbrs = build_target(cfg, x) if target is None else target
     pos = np.full(x.shape[0], -1, dtype=np.intp)
     head = ClusterHead.init(x.shape[1], cfg.clusters, np.random.default_rng([cfg.seed, 1]))
@@ -466,9 +449,7 @@ def run_cluster(config, x, labels=None, target=None):
             if batch.shape[0] >= 4:
                 yield _sub_rows(nbrs, batch, pos), x[batch]
 
-    loss = cluster_loss(cfg.divergence)
-    report = _train(cfg, head, batches, loss, _snapshot(head, x, labels, ("hungarian",), cfg.seed))
-    return report, features(head, x)
+    return _train(cfg, head, batches, cluster_loss(cfg.divergence), x, labels, ("hungarian",))
 
 
 def _balanced_batches(indices, labels, batch_size, rng):
@@ -516,11 +497,8 @@ def run_supcon(config, x, labels):
     accuracy, and the collapse flag is set when that series collapses
     (see _collapsed) under the config's collapse thresholds.
     """
-    cfg = resolve_config(config)
-    x = np.asarray(x, dtype=float)
+    cfg, x = _resolve(config, "supcon", x)
     y = np.asarray(labels, dtype=np.int64)
-    if cfg.task != "supcon":
-        raise ConfigError(f"run_supcon got a config for task {cfg.task!r}")
     if y.shape != (x.shape[0],):
         raise DimensionError("labels do not match feature matrix")
     spec = KernelSpec(cfg.kernel, cfg.scale)
@@ -534,12 +512,11 @@ def run_supcon(config, x, labels):
         for batch in _balanced_batches(train_idx, y, cfg.batch_size, shuffle_rng):
             yield supervisory_labels(y[batch]), x[batch]
 
-    loss = kernel_loss(cfg.divergence, spec)
-    report = _train(cfg, encoder, batches, loss, _snapshot(encoder, x, y, ("knn",), cfg.seed))
+    report, z = _train(cfg, encoder, batches, kernel_loss(cfg.divergence, spec), x, y, ("knn",))
     chance = 1.0 / np.unique(y).shape[0]
     knn = [metrics["knn"] for _, metrics in report.snapshots]
     report.collapsed = _collapsed(knn, chance, cfg.collapse_arm, cfg.collapse_trip, cfg.collapse_window)
-    return report, features(encoder, x)
+    return report, z
 
 
 def grad_norm_series(report, window=50):

@@ -365,8 +365,8 @@ class TestRunCommand:
         assert f"error: {key} must lie in [-2**63, 2**63)" in capsys.readouterr().err
 
     def test_cluster_run_runs_the_head_once_per_step_and_snapshot(self, tmp_path, monkeypatch):
-        # 60 epochs of 4 batches, 60 snapshots and the run's features: the
-        # output comes from the engine, not from a second forward pass
+        # 60 epochs of 4 batches and 60 snapshots: the run's features are its
+        # last snapshot's, not a forward pass of their own
         calls = []
         real_forward = ClusterHead.forward
 
@@ -377,7 +377,7 @@ class TestRunCommand:
         monkeypatch.setattr(ClusterHead, "forward", counting)
         rc = main(["run", "cluster", "--config", str(CONFIGS / "cluster_blobs.json"), "--out", str(tmp_path / "o")])
         assert rc == EXIT_OK
-        assert len(calls) == 301
+        assert len(calls) == 300
 
     def test_overflow_aborts_with_numerical_exit(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", sne_config(divergence="KL", lr=1e155))
@@ -478,6 +478,19 @@ class TestSweep:
         rc = main(["run", "sne", "--config", cfg, "--out", str(out), "--sweep", "data_seed=1,-1"])
         assert rc == EXIT_CONFIG
         assert "need seed >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sweep, message", [
+        (["divergence=KL,KL"], "--sweep 'divergence=KL,KL' repeats a value or the key of another axis"),
+        (["divergence=KL", "divergence=TV"], "--sweep 'divergence=TV' repeats a value or the key of another axis"),
+    ], ids=["value-twice-in-an-axis", "key-in-two-axes"])
+    def test_cells_sharing_a_directory_fail_before_any_training(self, tmp_path, capsys, sweep, message):
+        cfg = write_json(tmp_path / "cfg.json", sne_config())
+        out = tmp_path / "o"
+        args = ["run", "sne", "--config", cfg, "--out", str(out), "--jobs", "2"]
+        rc = main(args + [flag for axis in sweep for flag in ("--sweep", axis)])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_jobs_rejected(self, tmp_path, capsys):
@@ -833,12 +846,16 @@ class TestEvalCommand:
         ("manifest not JSON", "manifest.json is not valid JSON"),
         ("manifest a list", "manifest.json is not an object with a 'config' object"),
         ("manifest seed a string", "manifest.json has seed 'abc', not an integer >= 0"),
+        ("manifest hash with a newline", "manifest.json has hash 'x,y\\nz', not 16 lowercase hex digits"),
+        ("manifest hash in upper case", "manifest.json has hash '0123456789ABCDEF', not 16 lowercase hex"),
     ])
     def test_eval_malformed_input_exits_2(self, tmp_path, capsys, case, message):
         manifests = {
             "manifest not JSON": "{\"config\": ",
             "manifest a list": "[]",
             "manifest seed a string": json.dumps({"config": {"seed": "abc"}}),
+            "manifest hash with a newline": json.dumps({"config": {"seed": 0}, "hash": "x,y\nz"}),
+            "manifest hash in upper case": json.dumps({"config": {"seed": 0}, "hash": "0123456789ABCDEF"}),
         }
         if case in manifests:
             (tmp_path / "manifest.json").write_text(manifests[case], encoding="utf-8")
@@ -858,6 +875,7 @@ class TestEvalCommand:
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(data_path), "--metrics", "knn"])
         assert rc == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "metrics.csv").exists()
 
 def test_module_entry_point_help():
     proc = subprocess.run(

@@ -63,16 +63,15 @@ class TestBackward:
         rng = np.random.default_rng(4)
         enc = Encoder.init("mlp1", 3, 4, 2, rng)
         x = rng.normal(size=(5, 3))
-        grads, dx = enc.backward(x, enc.forward(x)[1], np.zeros((5, 2)))
+        grads = enc.backward(x, enc.forward(x)[1], np.zeros((5, 2)))
         assert all(np.all(g == 0.0) for g in grads.values())
-        np.testing.assert_array_equal(dx, 0.0)
 
     def test_linear_weight_grad_closed_form(self):
         rng = np.random.default_rng(5)
         enc = Encoder.init("linear", 3, 0, 2, rng)
         x = rng.normal(size=(5, 3))
         dout = rng.normal(size=(5, 2))
-        grads, _ = enc.backward(x, enc.forward(x)[1], dout)
+        grads = enc.backward(x, enc.forward(x)[1], dout)
         np.testing.assert_allclose(grads["W1"], x.T @ dout, atol=1e-12)
         np.testing.assert_allclose(grads["b1"], dout.sum(axis=0), atol=1e-12)
 
@@ -86,7 +85,7 @@ class TestBackward:
         def loss():
             return float(np.sum(A * features(enc, x)))
 
-        grads, dx = enc.backward(x, enc.forward(x)[1], A)
+        grads = enc.backward(x, enc.forward(x)[1], A)
         h = 1e-6
         for key, tensor in enc.params().items():
             numeric = np.zeros_like(tensor)
@@ -100,17 +99,6 @@ class TestBackward:
                 numeric[idx] = (hi - lo) / (2.0 * h)
             scale = max(np.max(np.abs(numeric)), 1e-12)
             assert np.max(np.abs(grads[key] - numeric)) / scale < 1e-5, key
-        numeric_x = np.zeros_like(x)
-        for idx in np.ndindex(x.shape):
-            orig = x[idx]
-            x[idx] = orig + h
-            hi = loss()
-            x[idx] = orig - h
-            lo = loss()
-            x[idx] = orig
-            numeric_x[idx] = (hi - lo) / (2.0 * h)
-        scale = max(np.max(np.abs(numeric_x)), 1e-12)
-        assert np.max(np.abs(dx - numeric_x)) / scale < 1e-5
 
 
 class TestClusterHead:
@@ -175,7 +163,7 @@ class TestClusterHead:
         def loss():
             return float(np.sum(A * features(head, x)))
 
-        grads, _ = head.backward(x, head.forward(x)[1], A)
+        grads = head.backward(x, head.forward(x)[1], A)
         h = 1e-6
         for key, tensor in head.params().items():
             numeric = np.zeros_like(tensor)
