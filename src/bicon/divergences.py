@@ -2,17 +2,26 @@
 
 Four kinds are supported: KL, total variation (TV), Jensen-Shannon (JSD)
 and squared Hellinger. All values use natural logarithms and the
-0*log(0) = 0 convention. The second argument (and the JSD mixture) is
-floored at ``EPS`` before logs, roots and divisions, so values stay
-finite as q -> 0 while KL keeps its blow-up behaviour in that limit.
+0*log(0) = 0 convention.
 
-Each kind is one function of row-aligned matrices that returns the
-per-row values and writes the derivative in Q into a buffer the caller
-gives it, sharing what the two have in common; every training step runs
-it on its blocks of rows. ``divergence_rows`` calls it without simplex
-validation, in buffers of its own; it serves ``loss_and_grad`` and the
-finite-difference probes, which deliberately step off the simplex.
-The scalar entry points validate their inputs.
+Each kind comes in two forms, both of row-aligned matrices that return
+the per-row values and write into a buffer the caller gives them:
+
+- DIVERGENCES writes the derivative dD/dQ. Its second argument (and the
+  JSD mixture) is floored at ``EPS`` before logs, roots and divisions,
+  so values stay finite as q -> 0 while KL keeps its blow-up behaviour in
+  that limit. ``divergence_rows`` calls it without simplex validation, in
+  buffers of its own; it serves ``loss_and_grad``, the finite-difference
+  probes, which deliberately step off the simplex, and the cluster step,
+  which runs it on its target's support. The scalar entry points validate
+  their inputs.
+- FORCES serves the softmax steps, which know log q exactly. It writes
+  the per-pair force F = q dD/dq (KL -p, TV q sign(q - p) / 2, JSD
+  q (log q - log m) / 2 with m = (p + q) / 2, Hellinger (q - sqrt(pq)) / 2),
+  finite as q -> 0 with no floor, less c q for a per-row constant c that
+  each kind picks to save passes: the softmax backward t = F - q sum(F)
+  cancels any multiple of q. Values come from log q with no per-entry log
+  of q, so a step's gradient is its value's.
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ import numpy as np
 from .errors import DimensionError, DomainError
 
 EPS = 1e-12
+# the smallest positive float64
+_TINY = 2.0 ** -1074
+_LOG2 = float(np.log(2.0))
 SIMPLEX_TOL = 1e-9
 
 
@@ -87,6 +99,68 @@ def _hellinger(P, Q, out, tmp):
 DIVERGENCES = {"KL": _kl, "TV": _tv, "JSD": _jsd, "Hellinger": _hellinger}
 
 KINDS = tuple(DIVERGENCES)
+
+
+def target_terms(P, tmp):
+    """(sum p log p, sum p) of each row of target rows P: the per-target
+    constants of the FORCES kinds, taken len(tmp) rows at a time with tmp
+    as scratch."""
+    terms = np.empty((2, len(P)))
+    for a in range(0, len(P), len(tmp)):
+        rows = P[a:a + len(tmp)]
+        terms[0, a:a + len(rows)] = _xlogy(rows, rows, tmp[:len(rows)]).sum(axis=1)
+        terms[1, a:a + len(rows)] = rows.sum(axis=1)
+    return terms
+
+
+# The force kinds take softmax rows Q with their shifted scores W and log
+# normalisers lse (log Q = W - lse; W's diagonal, where P and Q are 0, is
+# 0, and it is scratch once read), and target_terms' plogp and psum. Each
+# writes F - c q into out and returns the per-row values and the row sums
+# of what it wrote; a sum of q is taken as 1, its value on the simplex.
+
+
+def _kl_force(P, Q, W, lse, plogp, psum, out):
+    # c = 0; sum p log(p / q) = sum p log p - sum p W + lse sum p
+    np.negative(P, out=out)
+    return plogp - np.einsum("ij,ij->i", P, W) + lse * psum, -psum
+
+
+def _tv_force(P, Q, W, lse, plogp, psum, out):
+    # c = 0: q sign(q - p) / 2, where sign(0) = 0 keeps p = q stationary
+    diff = np.subtract(Q, P, out=W)
+    F = np.sign(diff, out=out)
+    value = 0.5 * np.einsum("ij,ij->i", diff, F)
+    F *= Q
+    F *= 0.5
+    return value, F.sum(axis=1)
+
+
+def _jsd_force(P, Q, W, lse, plogp, psum, out):
+    # c = f(0) - lse / 2 = (log 2 - lse) / 2: q (W - log(p + q)) / 2. The value,
+    # (sum p log p + sum q log q) / 2 - sum m log m with log q = W - lse and
+    # log m = log(p + q) - log 2; the floor only keeps log(p + q) finite
+    # where p = q = 0
+    qw = np.einsum("ij,ij->i", Q, W)
+    logs = np.add(P, Q, out=out)
+    np.log(np.maximum(logs, _TINY, out=logs), out=logs)
+    qs = np.einsum("ij,ij->i", Q, logs)
+    value = 0.5 * (plogp + qw - lse - np.einsum("ij,ij->i", P, logs) - qs + _LOG2 * (psum + 1.0))
+    F = np.subtract(W, logs, out=out)
+    F *= Q
+    F *= 0.5
+    return value, 0.5 * (qw - qs)
+
+
+def _hellinger_force(P, Q, W, lse, plogp, psum, out):
+    # c = 1/2: -sqrt(pq) / 2; the value (sum p + sum q) / 2 - sum sqrt(pq)
+    root = np.sqrt(np.multiply(P, Q, out=out), out=out)
+    overlap = root.sum(axis=1)
+    root *= -0.5
+    return 0.5 * (psum + 1.0) - overlap, -0.5 * overlap
+
+
+FORCES = {"KL": _kl_force, "TV": _tv_force, "JSD": _jsd_force, "Hellinger": _hellinger_force}
 
 
 def _check_kind(kind):

@@ -5,6 +5,10 @@ gradient, and compares against five-point central differences of the
 corresponding value function. Instances for TV are resampled until every
 |p - q| entry clears a margin, since its derivative jumps where p = q.
 
+The trained scope checks the softmax steps where training leaves them: at
+fixture-sized states after some epochs, along random directions over all
+parameter tensors, against differences of each step's own loss.
+
 The same checks back both the test suite and the CLI gradcheck command.
 """
 
@@ -13,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import divergences
+from .data import DatasetSpec, generate
 from .errors import NumericalError
 from .kernels import (
     KERNEL_FAMILIES,
@@ -27,7 +32,8 @@ from .kernels import (
     supervisory_sne,
 )
 from .model import ClusterHead, Encoder, FreeEmbedding, features, softmax_rows
-from .trainers import _sub_rows, cluster_loss, kernel_loss, value_and_grads
+from .evaluation import holdout_split
+from .trainers import _balanced_batches, _sub_rows, cluster_loss, kernel_loss, run_sne, run_supcon, value_and_grads
 
 TOL = 1e-5
 STEP = 1e-4
@@ -245,7 +251,86 @@ def check_end2end(seed=0):
     return results
 
 
-_CHECKS = {"divergences": check_divergences, "kernels": check_kernels, "model": check_model, "end2end": check_end2end}
+def directional_error(model, loss, p, x, rng, directions=3, h=STEP):
+    """Worst |<g, v> - dL/dv| / ||g|| over random unit directions v across
+    all of model's parameter tensors: g is the step's gradient, and dL/dv
+    five-point differences of the step's own loss along v. It costs five
+    loss evaluations per direction, whatever the size."""
+    params = model.params()
+    _, grads = value_and_grads(model, loss, p, x)
+    norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    origin = {name: tensor.copy() for name, tensor in params.items()}
+    worst = 0.0
+    for _ in range(directions):
+        v = {name: rng.standard_normal(tensor.shape) for name, tensor in params.items()}
+        unit = 1.0 / np.sqrt(sum(float(np.sum(d * d)) for d in v.values()))
+        values = []
+        for step in (2.0 * h, h, -h, -2.0 * h):
+            for name, tensor in params.items():
+                np.add(origin[name], (step * unit) * v[name], out=tensor)
+            values.append(value_and_grads(model, loss, p, x)[0])
+        for name, tensor in params.items():
+            tensor[...] = origin[name]
+        numeric = np.dot((-1.0, 8.0, -8.0, 1.0), values) / (12.0 * h)
+        analytic = unit * sum(float(np.sum(grads[name] * v[name])) for name in params)
+        worst = max(worst, abs(analytic - numeric) / norm)
+    return worst
+
+
+# check_trained's recipes: the SNE fixture (configs/sne_blobs.json), and
+# supcon on 400 points of the supcon fixture's blobs (configs/supcon_blobs.json)
+_SNE_FIXTURE = ({"task": "sne", "kernel": "distance", "scale": 4.0, "perplexity": 60.0, "lr": 0.1,
+                 "init_scale": 0.3, "seed": 0},
+                DatasetSpec("gaussian_blobs", n=300, d=10, classes=3, separation=8.0, seed=0))
+_SUPCON_RECIPE = ({"task": "supcon", "scale": 10.0, "lr": 1e-3, "batch_size": 64, "hidden": 64,
+                   "out_dim": 16, "seed": 0},
+                  DatasetSpec("gaussian_blobs", n=400, d=20, classes=4, separation=6.0, seed=0))
+
+
+def check_trained(seed=0, epochs=(200, 40)):
+    """Worst directional error (directional_error) of each softmax step
+    after training: the SNE fixture for epochs[0] epochs, on its full
+    batch, and supcon, over both kernel families, for epochs[1], on one
+    class-balanced batch; seed draws the directions and the batch.
+
+    At 200 epochs the SNE steps still have gradients of 3e-6 or more. Near
+    the loss's stationary point ||g|| falls toward the roundoff of the
+    loss's differences (about 1e-13 / h), which the error is relative to:
+    at 400 epochs KL's ||g|| is 4e-9 and the check reads 1e-4.
+
+    TV is left out: training brings q to p pair by pair, and at trained
+    states some pairs' |q - p| lies within the stencil's reach of TV's
+    kink, where differences of its value do not give its derivative (at
+    200 epochs 6.9e-4). The random-instance scopes check TV with a margin
+    on |q - p|.
+    """
+    kinds = [kind for kind in divergences.KINDS if kind != "TV"]
+    results = []
+    config, spec = _SNE_FIXTURE
+    data = generate(spec)
+    p = supervisory_sne(data.features, config["perplexity"])
+    for kind in kinds:
+        report, _ = run_sne(dict(config, divergence=kind, epochs=epochs[0]), data.features, target=p)
+        loss = kernel_loss(kind, KernelSpec(config["kernel"], config["scale"]))
+        err = directional_error(report.model, loss, p, data.features, np.random.default_rng([seed, 59]))
+        results.append((f"sne/{kind}", err))
+    config, spec = _SUPCON_RECIPE
+    data = generate(spec)
+    train_idx, _ = holdout_split(len(data.labels), seed=config["seed"])
+    batch = next(_balanced_batches(train_idx, data.labels, config["batch_size"], np.random.default_rng([seed, 61])))
+    p = supervisory_labels(data.labels[batch])
+    for kind in kinds:
+        for family in KERNEL_FAMILIES:
+            cfg = dict(config, divergence=kind, kernel=family, epochs=epochs[1])
+            report, _ = run_supcon(cfg, data.features, data.labels)
+            loss = kernel_loss(kind, KernelSpec(family, config["scale"]))
+            err = directional_error(report.model, loss, p, data.features[batch], np.random.default_rng([seed, 67]))
+            results.append((f"supcon/{kind}/{family}", err))
+    return results
+
+
+_CHECKS = {"divergences": check_divergences, "kernels": check_kernels, "model": check_model, "end2end": check_end2end,
+           "trained": check_trained}
 
 SCOPES = tuple(_CHECKS)
 

@@ -66,46 +66,71 @@ def squared_distances(a, b=None, block=None):
     if block is None:
         block = max(1, _BLOCK_FLOATS // max(m, 1))
     out = np.empty((n, m))
-    # one contiguous row per coordinate
-    at = np.ascontiguousarray(a.T)
-    bt = at if b is a else np.ascontiguousarray(b.T)
+    left, right = _difference_factors(a, b)
     tmp = np.empty((min(block, n), m))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, block):
             rows = out[start:start + block]
-            _add_squares(at[:, start:start + block], bt, rows, tmp[:len(rows)])
+            _add_squares(left[:, start:start + block], right, rows, tmp[:len(rows)])
     return out
 
 
-def _add_squares(at, bt, out, tmp):
-    """out[i, j] = (at[0, i] - bt[0, j]) ** 2 + (at[1, i] - bt[1, j]) ** 2
+def _difference_factors(a, b):
+    """The factors of each coordinate k's differences a[i, k] - b[j, k]:
+    left[k] = [a[:, k], 1] (N x 2) and right[k] = [1; -b[:, k]] (2 x M).
+    Their product's entry is a[i, k] * 1 + 1 * (-b[j, k]): two exact
+    products, rounded once when added, in whatever order, FMA or not, a
+    product takes them. So it is the difference a[i, k] - b[j, k] bit for
+    bit (up to the sign of a zero), from one BLAS call per coordinate in
+    place of a broadcast subtraction, which numpy runs at about half the
+    speed."""
+    left = np.ones((a.shape[1], a.shape[0], 2))
+    left[:, :, 0] = a.T
+    right = np.ones((b.shape[1], 2, b.shape[0]))
+    np.negative(b.T, out=right[:, 1])
+    return left, right
+
+
+def _add_squares(left, right, out, tmp):
+    """out[i, j] = (a[i, 0] - b[j, 0]) ** 2 + (a[i, 1] - b[j, 1]) ** 2
     + ..., added left to right, with tmp as scratch of out's shape: the
     one distance kernel, which squared_distances and _kernel_rows_pass
-    run on their blocks of rows. at and bt hold one coordinate per row.
+    run on their blocks of rows. left and right are the rows' and the
+    columns' _difference_factors.
     """
-    if not len(at):
+    if not len(left):
         out.fill(0.0)
-    for k in range(len(at)):
+    for k in range(len(left)):
         into = tmp if k else out
-        np.subtract(at[k, :, None], bt[k], out=into)
+        np.matmul(left[k], right[k], out=into)
         np.square(into, out=into)
         if k:
             out += into
 
 
-def _block_scores(yt, start, spec, out, tmp):
+def _score_operands(y, spec):
+    """What _block_scores takes of the points y: y.T, made contiguous, on
+    both sides for the angular family, and y's _difference_factors with
+    itself for the distance family."""
+    if spec.family == "angular":
+        yt = np.ascontiguousarray(y.T)
+        return yt, yt
+    return _difference_factors(y, y)
+
+
+def _block_scores(left, right, start, spec, out, tmp):
     """Rows start, start + 1, ... of similarity_matrix(y, spec) into out,
-    from yt = y.T, made contiguous; tmp is scratch of out's shape.
-    Overflow is left for _softmax_rows' check of the scores."""
-    rows = yt[:, start:start + len(out)]
+    from y's _score_operands; tmp is scratch of out's shape. Overflow is
+    left for _softmax_rows' check of the scores."""
+    rows = left[:, start:start + len(out)]
     with np.errstate(over="ignore", invalid="ignore"):
         if spec.family == "angular":
             # einsum adds the products coordinate by coordinate, not in
             # BLAS blocks, so no entry's bits depend on the rows computed with it
-            np.einsum("ki,kj->ij", rows, yt, out=out)
+            np.einsum("ki,kj->ij", rows, right, out=out)
             out *= spec.scale
         else:
-            _add_squares(rows, yt, out, tmp)
+            _add_squares(rows, right, out, tmp)
             out *= -spec.scale
     return out
 
@@ -142,7 +167,7 @@ def similarity_matrix(z, spec):
         if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
             raise DomainError("angular kernel requires unit-norm rows (within 1e-9)")
     n = z.shape[0]
-    return _block_scores(np.ascontiguousarray(z.T), 0, spec, np.empty((n, n)), np.empty((n, n)))
+    return _block_scores(*_score_operands(z, spec), 0, spec, np.empty((n, n)), np.empty((n, n)))
 
 
 def kernel_rows(scores):
@@ -156,22 +181,30 @@ def kernel_rows(scores):
         raise DimensionError(f"expected a square score matrix, got shape {s.shape}")
     if s.shape[0] < 2:
         raise DimensionError("need at least 2 points for transition rows")
-    # one n x n buffer, updated in place: scores, shifted scores, weights, rows
-    return _softmax_rows(s.copy(), 0)
+    q = np.empty(s.shape)
+    _softmax_rows(s.copy(), 0, q)
+    return q
 
 
-def _softmax_rows(w, start):
-    """kernel_rows in place, for the score rows start, start + 1, ... of a
-    square matrix; each row's entry start + i is its diagonal."""
+def _softmax_rows(w, start, q, check=True):
+    """kernel_rows of the score rows w, rows start, start + 1, ... of a
+    square matrix (each row's entry start + i is its diagonal), written
+    into q. w is left holding the shifted scores, its diagonal 0, and the
+    rows' log normalisers lse are returned: log q = w - lse off the
+    diagonal, also where q underflows to 0. check=False skips the scan
+    for non-finite scores, for a caller that has bounded them."""
     diag = (np.arange(len(w)), start + np.arange(len(w)))
-    w[diag] = 0.0
-    if not np.all(np.isfinite(w)):
-        raise DomainError("off-diagonal scores contain non-finite entries")
+    if check:
+        w[diag] = 0.0
+        if not np.all(np.isfinite(w)):
+            raise DomainError("off-diagonal scores contain non-finite entries")
     w[diag] = -np.inf
     w -= w.max(axis=1, keepdims=True)
-    np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+    np.exp(w, out=q)
+    total = q.sum(axis=1, keepdims=True)
+    q /= total
+    w[diag] = 0.0
+    return np.log(total[:, 0])
 
 
 def softmax_rows_grad(q, dL_dq, out=None):
@@ -189,8 +222,8 @@ def kernel_rows_grad(z, spec, dL_dq):
     angular family z is the raw (unnormalized) embedding; the unit-sphere
     normalization consumed by similarity_matrix is part of the chain, so
     the returned gradient includes the tangent-space projection. Runs
-    _kernel_rows_pass, the backward of the SNE and supcon steps, with each
-    block of dL_dq's rows copied into the pass's buffers.
+    _kernel_rows_pass, the backward of the SNE and supcon steps, on the
+    forces q * dL_dq, block by block.
     """
     z = np.asarray(z, dtype=float)
     g = np.asarray(dL_dq, dtype=float)
@@ -198,31 +231,42 @@ def kernel_rows_grad(z, spec, dL_dq):
         raise DimensionError(f"shape mismatch: z {z.shape}, dL_dq {g.shape}")
     if np.any(np.diagonal(g) != 0.0):
         raise DomainError("dL_dq must be zero on the diagonal")
-    copy_rows = lambda start, q, out, tmp: np.copyto(out, g[start:start + len(out)])
-    return _kernel_rows_pass(z, spec, copy_rows)
+
+    def forces(start, q, F, w, lse):
+        np.multiply(g[start:start + len(F)], q, out=F)
+        return F.sum(axis=1)
+
+    return _kernel_rows_pass(z, spec, forces)
 
 
 def _kernel_rows_buffers(n):
-    """The buffers of _kernel_rows_pass over n points: the q, dL/dq and
-    scratch rows of one block of min(n, 2**18 // n) rows (at least 1)."""
+    """The buffers of _kernel_rows_pass over n points: the q, force and
+    score rows of one block of min(n, 2**18 // n) rows (at least 1)."""
     return np.empty((3, max(1, min(n, _STEP_FLOATS // max(n, 1))), n))
 
 
 def _kernel_rows_pass(z, spec, fill, buffers=None):
-    """Gradient in z of a loss of q = learned_rows(z, spec), given the
-    loss's gradient in q one block of rows at a time, with no N x N array:
-    buffers (allocated here if None) are _kernel_rows_buffers(N).
+    """Gradient in z of a loss L of q = learned_rows(z, spec), given the
+    loss's forces F = q * dL/dq one block of rows at a time, with no N x N
+    array: buffers (allocated here if None) are _kernel_rows_buffers(N).
 
-    Each block of rows [a, b) is built in place in the buffers: its scores
-    and softmax rows q, bit for bit learned_rows(z, spec)[a:b]; then
-    fill(a, q, g, tmp) writes the loss's gradient in those rows into g
-    (tmp is scratch); then g becomes the softmax backward
-    t = (g - sum(g q)) q. q's diagonal is exactly 0, so g's diagonal, if
-    finite, changes no value of the result. The scores' gradient
-    s = t + t.T is never built: s @ [y, 1] = t @ [y, 1] + t.T @ [y, 1]
-    (y = z, or the unit rows for the angular family) is summed block by
-    block, so the result differs from one through s in the last bits; q
-    does not.
+    Each block of rows [a, b) is built in place in the buffers: its scores,
+    then its softmax rows q, bit for bit learned_rows(z, spec)[a:b], with
+    the scores left shifted (w, diagonal 0) and the rows' log normalisers
+    lse, so that log q = w - lse. Then fill(a, q, F, w, lse) writes the
+    forces into F, less any multiple of q per row, which t cancels, and
+    returns the row sums of what it wrote (w is its scratch once read);
+    F becomes the softmax backward t = F - q sum(F): the gradient in
+    the scores, with no division by q, so a force stays finite where q
+    underflows. The scores' gradient s = t + t.T is never built:
+    s @ [y, 1] = t @ [y, 1] + t.T @ [y, 1] (y = z, or the unit rows for
+    the angular family) is summed block by block.
+
+    The scan for non-finite scores runs only when a bound on them is not
+    finite. Rounding is monotone and |y| <= m entrywise (m = 1 for unit
+    rows), so for widths d below 2**50 no computed |score| exceeds
+    8 C d m**2, half of 16 C d m**2; where that bound overflows, the
+    scores are scanned, so the same inputs raise.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] < 2:
@@ -231,23 +275,26 @@ def _kernel_rows_pass(z, spec, fill, buffers=None):
     y = normalize_rows(z) if angular else z
     if not np.all(np.isfinite(y)):
         raise DomainError("embedding contains non-finite entries")
-    n = z.shape[0]
+    n, d = y.shape
     if buffers is None:
         buffers = _kernel_rows_buffers(n)
-    yt = np.ascontiguousarray(y.T)
+    left, right = _score_operands(y, spec)
+    m = 1.0 if angular else float(np.max(np.abs(y), initial=0.0))
+    check = not np.isfinite(16.0 * spec.scale * d * m * m)
     # [y, 1]: each product gives t @ y (or t.T @ y) and t's row (or column) sums
-    y1 = np.ones((n, y.shape[1] + 1))
+    y1 = np.ones((n, d + 1))
     y1[:, :-1] = y
     sy = np.empty(y1.shape)
     syt = np.zeros(y1.shape)
     for a in range(0, n, buffers.shape[1]):
         b = min(a + buffers.shape[1], n)
-        q, g, tmp = buffers[:, :b - a]
-        _softmax_rows(_block_scores(yt, a, spec, q, tmp), a)
-        fill(a, q, g, tmp)
-        softmax_rows_grad(q, g, out=g)
-        np.matmul(g, y1, out=sy[a:b])
-        syt += g.T @ y1[a:b]
+        q, F, w = buffers[:, :b - a]
+        lse = _softmax_rows(_block_scores(left, right, a, spec, w, F), a, q, check)
+        # t = F - q sum(F), each entry rounded on its own, so that a small t
+        # beside large forces keeps its relative accuracy
+        F -= np.einsum("ij,i->ij", q, fill(a, q, F, w, lse), out=w)
+        np.matmul(F, y1, out=sy[a:b])
+        syt += F.T @ y1[a:b]
     sy += syt
     if angular:
         norms = np.sqrt(np.sum(z * z, axis=1, keepdims=True))
@@ -445,7 +492,8 @@ def _knn(a, b, k, exclude_self=False):
     Rows of a are ranked a block at a time (about 2**15 entries of h,
     as in squared_distances), so h and its partition stay in cache and
     no N x M array is built; the candidates' exact distances are then
-    computed in chunks of about 2**18 floats.
+    computed in chunks of about 2**17 floats (squared_distances' factors
+    of a chunk take twice its size).
 
     The error bound (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sections 2.1 and 3.1). Let u be the unit
@@ -504,7 +552,7 @@ def _knn(a, b, k, exclude_self=False):
     rows, cols = np.divmod(np.concatenate(found), m)
     e = np.empty(len(rows))
     origin = np.zeros((1, d))
-    step = max(1, 8 * _BLOCK_FLOATS // max(d, 1))
+    step = max(1, 4 * _BLOCK_FLOATS // max(d, 1))
     for s in range(0, len(rows), step):
         # |a_i - b_j - 0|^2 is squared_distances' value of the pair, bit for bit
         e[s:s + step] = squared_distances(a[rows[s:s + step]] - b[cols[s:s + step]], origin)[:, 0]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .divergences import DIVERGENCES, KINDS, _check_kind, _f_at_zero, divergence_rows
+from .divergences import DIVERGENCES, FORCES, KINDS, _check_kind, _f_at_zero, divergence_rows, target_terms
 from .errors import ConfigError, DimensionError, DomainError, NumericalError, check_field_types
 from .evaluation import holdout_split, metric
 from .kernels import (
@@ -197,30 +197,36 @@ def kernel_loss(divergence, spec):
     """loss(p, z) of the SNE and supcon steps: the mean row divergence of p
     and the N x N learned rows q of z under spec, from one kernel-rows
     pass, and its gradient in z. The pass hands fill each block's rows of
-    q, to be given their rows of dD/dQ / N (the diagonal, finite since p's
-    is 0, left as it is).
+    q, for the kind's FORCES form to write their forces and values; the
+    1/N of the mean is applied to the N x d gradient.
 
     The pass's buffers (_kernel_rows_buffers(N)) belong to the loss: they
-    are allocated on its first call and again only when N changes. A loss
-    is made per run, so the threads of a sweep never share one."""
+    are allocated on its first call and again only when N changes. So do
+    the target's per-row constants (divergences.target_terms), taken
+    again only when p is another array. A loss is made per run, so the
+    threads of a sweep never share one."""
     _check_kind(divergence)
-    kind = DIVERGENCES[divergence]
-    buffers = None
+    force = FORCES[divergence]
+    buffers = target = terms = None
 
     def loss(p, z):
-        nonlocal buffers
+        nonlocal buffers, target, terms
         n = len(z)
         if p.shape != (n, n):
             raise DimensionError(f"p and q shapes differ: {p.shape} vs {(n, n)}")
         if buffers is None or buffers.shape[2] != n:
             buffers = _kernel_rows_buffers(n)
+        if p is not target:
+            target, terms = p, target_terms(p, buffers[0])
         values = np.empty(n)
 
-        def fill(start, q, g, tmp):
-            values[start:start + len(q)] = kind(p[start:start + len(q)], q, g, tmp)
-            g /= n
+        def fill(start, q, F, w, lse):
+            rows = slice(start, start + len(q))
+            values[rows], sums = force(p[rows], q, w, lse, *terms[:, rows], F)
+            return sums
 
         grad = _kernel_rows_pass(z, spec, fill, buffers)
+        grad /= n
         return float(values.mean()), grad
 
     return loss

@@ -565,6 +565,24 @@ class TestSquaredDistancesProperties:
         for block in (None, 2):
             assert np.array_equal(squared_distances(a, b, block=block), per_pair_sums(a, b))
 
+    @pytest.mark.parametrize("d", [0, 1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 6])
+    def test_special_values_match_per_pair_sums(self, d, m):
+        # each difference is a K = 2 product [a, 1] . [1; -b]: it must round
+        # as the subtraction does on signed zeros, infinities, NaN,
+        # subnormals and entries near the overflow and underflow limits,
+        # also for a one-row b (kNN's exact recompute) and width 0
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-320, 2.2e-308,
+                            1e-300, -1e-300, 1e300, -1e300, 1e200, 1.5, -2.0])
+        rng = np.random.default_rng(d * 10 + m)
+        for _ in range(20):
+            a = rng.choice(special, size=(7, d))
+            b = rng.choice(special, size=(m, d))
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                want = per_pair_sums(a, b) if d else np.zeros((7, m))
+                np.testing.assert_array_equal(squared_distances(a, b), want)
+                np.testing.assert_array_equal(squared_distances(a, block=3), per_pair_sums(a, a) if d else 0.0)
+
     def test_zero_width_is_zero(self):
         assert np.array_equal(squared_distances(np.zeros((3, 0)), np.zeros((2, 0))), np.zeros((3, 2)))
 

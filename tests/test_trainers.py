@@ -17,6 +17,7 @@ from bicon import (
     run_sne,
     run_supcon,
 )
+from bicon.divergences import EPS
 from bicon.errors import ConfigError, DimensionError, DomainError, NumericalError
 from bicon.kernels import (
     _knn_graph,
@@ -116,7 +117,9 @@ class TestLossAndGrad:
 
 class TestFusedAssemblies:
     """Each training step reuses its forward pass in the backward pass; the
-    result must equal the public chain, which runs every forward again."""
+    result must match the public chain, which runs every forward again:
+    the softmax steps within roundoff, on instances where the chain's EPS
+    floors act nowhere (their forces and values take no floor)."""
 
     @pytest.mark.parametrize("family", ["distance", "angular"])
     @pytest.mark.parametrize("div", DIVS)
@@ -125,10 +128,11 @@ class TestFusedAssemblies:
         p = supervisory_sne(rng.normal(size=(12, 3)), 4.0)
         table = rng.normal(size=(12, 2))
         spec = KernelSpec(family, 1.5)
-        loss, dq = loss_and_grad(div, p, learned_rows(table, spec))
+        q = learned_rows(table, spec)
+        loss, dq = loss_and_grad(div, p, q)
         fused_loss, grads = value_and_grads(FreeEmbedding(table), kernel_loss(div, spec), p, table)
-        assert fused_loss == loss
-        assert np.array_equal(grads["embedding"], kernel_rows_grad(table, spec, dq))
+        assert floors_inactive(div, p, q)
+        assert_close_to_chain(fused_loss, grads, loss, {"embedding": kernel_rows_grad(table, spec, dq)})
 
     @pytest.mark.parametrize("family", ["distance", "angular"])
     @pytest.mark.parametrize("div", DIVS)
@@ -139,13 +143,13 @@ class TestFusedAssemblies:
         enc = Encoder.init("mlp1", 3, 6, 4, rng)
         spec = KernelSpec(family, 1.5)
         z = features(enc, x)
-        loss, dq = loss_and_grad(div, p, learned_rows(z, spec))
+        q = learned_rows(z, spec)
+        loss, dq = loss_and_grad(div, p, q)
         want = enc.backward(x, enc.forward(x)[1], kernel_rows_grad(z, spec, dq))
         fused_loss, grads = value_and_grads(enc, kernel_loss(div, spec), p, x)
-        assert fused_loss == loss
+        assert floors_inactive(div, p, q)
         assert grads.keys() == want.keys()
-        for name in want:
-            assert np.array_equal(grads[name], want[name]), name
+        assert_close_to_chain(fused_loss, grads, loss, want)
 
     @pytest.mark.parametrize("kind", ["linear", "mlp1"])
     @pytest.mark.parametrize("family", ["distance", "angular"])
@@ -158,13 +162,13 @@ class TestFusedAssemblies:
         enc = Encoder.init(kind, 3, 6, 4, rng)
         spec = KernelSpec(family, 1.5)
         z = features(enc, x)
-        loss, dq = loss_and_grad("TV", p, learned_rows(z, spec))
+        q = learned_rows(z, spec)
+        loss, dq = loss_and_grad("TV", p, q)
         want = enc.backward(x, enc.forward(x)[1], kernel_rows_grad(z, spec, dq))
         fused_loss, grads = value_and_grads(enc, kernel_loss("TV", spec), p, x)
-        assert fused_loss == loss
+        assert floors_inactive("TV", p, q)
         assert grads.keys() == want.keys()
-        for name in want:
-            assert np.array_equal(grads[name], want[name]), name
+        assert_close_to_chain(fused_loss, grads, loss, want)
 
     @pytest.mark.parametrize("div", DIVS)
     def test_cluster_matches_public_chain(self, div):
@@ -192,6 +196,29 @@ class TestFusedAssemblies:
         # the step works on p's support alone, so its sums are taken in
         # another order than the dense chain's
         assert_close_to_dense(first_loss, first, loss, want)
+
+
+def floors_inactive(div, p, q):
+    """Whether the dense chain's EPS floors act nowhere: q >= EPS on p's
+    support, and for JSD the mixture (p + q) / 2 >= EPS off the diagonal.
+    There the chain's dD/dq is its value's, and a softmax step's forces
+    match it within roundoff; the directional check at trained states
+    (gradcheck.check_trained) covers the step where they do not."""
+    off = ~np.eye(len(p), dtype=bool)
+    if div == "JSD" and np.min((p + q)[off]) / 2.0 < EPS:
+        return False
+    return bool(np.min(q[p > 0]) >= EPS)
+
+
+def assert_close_to_chain(loss, grads, want_loss, want, loss_floor=0.0, grad_floor=0.0):
+    """A softmax step's loss within 1e-13 relative of the dense chain's,
+    and its whole gradient, its tensors taken together (a distance
+    kernel's output bias has a gradient of roundoff alone), within 1e-12
+    of the largest entry of the chain's; each plus an absolute floor."""
+    assert abs(loss - want_loss) <= 1e-13 * abs(want_loss) + loss_floor
+    got = np.concatenate([grads[name].ravel() for name in want])
+    ref = np.concatenate([want[name].ravel() for name in want])
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)) + grad_floor
 
 
 def support_pass_in(divergence, buffers):
@@ -276,10 +303,10 @@ class TestBlockedStep:
         real_pass = bicon.trainers._kernel_rows_pass
 
         def recording(z, spec, fill, buffers=None):
-            def fill_and_record(start, q, g, tmp):
+            def fill_and_record(start, q, F, w, lse):
                 seen[start:start + len(q)] = q
                 blocks.append(len(q))
-                fill(start, q, g, tmp)
+                return fill(start, q, F, w, lse)
             return real_pass(z, spec, fill_and_record, buffers)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -288,9 +315,14 @@ class TestBlockedStep:
             loss, grads = value_and_grads(FreeEmbedding(z), kernel_loss(div, spec), p, z)
         assert blocks == [block] * (n // block) + [n % block]
         want_loss, want_q, want_grad = dense_step(div, p, z, spec)
-        assert loss == want_loss
         assert np.array_equal(seen, want_q)
-        assert np.max(np.abs(grads["embedding"] - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        if not floors_inactive(div, p, want_q):
+            event("an EPS floor of the dense chain acts")
+            return
+        # where a row saturates, a tiny gradient is the difference of forces
+        # of order 1, each rounded: a floor of their roundoff
+        assert_close_to_chain(loss, grads, want_loss, {"embedding": want_grad},
+                              loss_floor=1e-15, grad_floor=1e-15 * spec.scale * np.max(np.abs(z)))
 
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(3, 7), d=st.integers(1, 3), block=st.integers(1, 3),
@@ -320,6 +352,12 @@ class TestBlockedStep:
            kind=st.sampled_from(["linear", "mlp1"]), family=st.sampled_from(["distance", "angular"]),
            div=st.sampled_from(DIVS), target=st.sampled_from(["sne", "supcon"]),
            sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    # two draws where a q on p's support fell below EPS, which a floored KL
+    # step failed with rel_error 0.0182 and 0.00237
+    @example(n=7, d=2, block=2, kind="linear", family="distance", div="KL", target="supcon",
+             sparse=False, seed=293211095)
+    @example(n=6, d=2, block=1, kind="linear", family="distance", div="KL", target="sne",
+             sparse=False, seed=2495074695)
     def test_encoder_gradcheck_random_small_shapes(self, n, d, block, kind, family, div, target,
                                                    sparse, seed):
         # the parametric SNE step (kNN or softmax target rows) and the supcon
@@ -377,6 +415,19 @@ class TestBlockedStep:
         loss = kernel_loss("KL", KernelSpec("distance", 1.0))
         with pytest.raises(DimensionError, match="N >= 2"):
             loss(np.zeros((n, n)), np.zeros((n, 2)))
+
+
+class TestTrainedStates:
+    def test_steps_are_their_losses_gradients(self):
+        # the SNE fixture and a supcon recipe after training, where a step
+        # that floored q at EPS was not its loss's gradient (KL 3.4e-3,
+        # Hellinger 4.7e-5 on the SNE fixture at 200 epochs)
+        from bicon.gradcheck import TOL, check_trained
+
+        results = dict(check_trained(seed=0))
+        assert {name.split("/")[1] for name in results} == {"KL", "JSD", "Hellinger"}
+        assert {name.split("/")[0] for name in results} == {"sne", "supcon"}
+        assert {name: err for name, err in results.items() if not err <= TOL} == {}
 
 
 def scatter(target, b):
