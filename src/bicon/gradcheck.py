@@ -251,51 +251,57 @@ def check_end2end(seed=0):
     return results
 
 
-def directional_error(model, loss, p, x, rng, directions=3, h=STEP):
-    """Worst |<g, v> - dL/dv| / ||g|| over random unit directions v across
-    all of model's parameter tensors: g is the step's gradient, and dL/dv
-    five-point differences of the step's own loss along v. It costs five
-    loss evaluations per direction, whatever the size."""
+# directional_error's number of random directions
+_DIRECTIONS = 3
+
+
+def directional_error(model, loss, p, x, rng):
+    """Worst |<g, v> - dL/dv| / ||g|| over _DIRECTIONS random unit
+    directions v across all of model's parameter tensors: g is the step's
+    gradient, and dL/dv five-point differences (step STEP) of the step's
+    own loss along v. It costs five loss evaluations per direction,
+    whatever the size."""
     params = model.params()
     _, grads = value_and_grads(model, loss, p, x)
     norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     origin = {name: tensor.copy() for name, tensor in params.items()}
     worst = 0.0
-    for _ in range(directions):
+    for _ in range(_DIRECTIONS):
         v = {name: rng.standard_normal(tensor.shape) for name, tensor in params.items()}
         unit = 1.0 / np.sqrt(sum(float(np.sum(d * d)) for d in v.values()))
         values = []
-        for step in (2.0 * h, h, -h, -2.0 * h):
+        for step in (2.0 * STEP, STEP, -STEP, -2.0 * STEP):
             for name, tensor in params.items():
                 np.add(origin[name], (step * unit) * v[name], out=tensor)
             values.append(value_and_grads(model, loss, p, x)[0])
         for name, tensor in params.items():
             tensor[...] = origin[name]
-        numeric = np.dot((-1.0, 8.0, -8.0, 1.0), values) / (12.0 * h)
+        numeric = np.dot((-1.0, 8.0, -8.0, 1.0), values) / (12.0 * STEP)
         analytic = unit * sum(float(np.sum(grads[name] * v[name])) for name in params)
         worst = max(worst, abs(analytic - numeric) / norm)
     return worst
 
 
 # check_trained's recipes: the SNE fixture (configs/sne_blobs.json), and
-# supcon on 400 points of the supcon fixture's blobs (configs/supcon_blobs.json)
+# supcon on 400 points of the supcon fixture's blobs (configs/supcon_blobs.json),
+# each with the epochs it is trained for before the check
 _SNE_FIXTURE = ({"task": "sne", "kernel": "distance", "scale": 4.0, "perplexity": 60.0, "lr": 0.1,
                  "init_scale": 0.3, "seed": 0},
-                DatasetSpec("gaussian_blobs", n=300, d=10, classes=3, separation=8.0, seed=0))
+                DatasetSpec("gaussian_blobs", n=300, d=10, classes=3, separation=8.0, seed=0), 200)
 _SUPCON_RECIPE = ({"task": "supcon", "scale": 10.0, "lr": 1e-3, "batch_size": 64, "hidden": 64,
                    "out_dim": 16, "seed": 0},
-                  DatasetSpec("gaussian_blobs", n=400, d=20, classes=4, separation=6.0, seed=0))
+                  DatasetSpec("gaussian_blobs", n=400, d=20, classes=4, separation=6.0, seed=0), 40)
 
 
-def check_trained(seed=0, epochs=(200, 40)):
+def check_trained(seed=0):
     """Worst directional error (directional_error) of each softmax step
-    after training: the SNE fixture for epochs[0] epochs, on its full
-    batch, and supcon, over both kernel families, for epochs[1], on one
-    class-balanced batch; seed draws the directions and the batch.
+    after training: the SNE fixture for 200 epochs, on its full batch, and
+    supcon, over both kernel families, for 40, on one class-balanced
+    batch; seed draws the directions and the batch.
 
     At 200 epochs the SNE steps still have gradients of 3e-6 or more. Near
     the loss's stationary point ||g|| falls toward the roundoff of the
-    loss's differences (about 1e-13 / h), which the error is relative to:
+    loss's differences (about 1e-13 / STEP), which the error is relative to:
     at 400 epochs KL's ||g|| is 4e-9 and the check reads 1e-4.
 
     TV is left out: training brings q to p pair by pair, and at trained
@@ -306,22 +312,22 @@ def check_trained(seed=0, epochs=(200, 40)):
     """
     kinds = [kind for kind in divergences.KINDS if kind != "TV"]
     results = []
-    config, spec = _SNE_FIXTURE
+    config, spec, epochs = _SNE_FIXTURE
     data = generate(spec)
     p = supervisory_sne(data.features, config["perplexity"])
     for kind in kinds:
-        report, _ = run_sne(dict(config, divergence=kind, epochs=epochs[0]), data.features, target=p)
+        report, _ = run_sne(dict(config, divergence=kind, epochs=epochs), data.features, target=p)
         loss = kernel_loss(kind, KernelSpec(config["kernel"], config["scale"]))
         err = directional_error(report.model, loss, p, data.features, np.random.default_rng([seed, 59]))
         results.append((f"sne/{kind}", err))
-    config, spec = _SUPCON_RECIPE
+    config, spec, epochs = _SUPCON_RECIPE
     data = generate(spec)
     train_idx, _ = holdout_split(len(data.labels), seed=config["seed"])
     batch = next(_balanced_batches(train_idx, data.labels, config["batch_size"], np.random.default_rng([seed, 61])))
     p = supervisory_labels(data.labels[batch])
     for kind in kinds:
         for family in KERNEL_FAMILIES:
-            cfg = dict(config, divergence=kind, kernel=family, epochs=epochs[1])
+            cfg = dict(config, divergence=kind, kernel=family, epochs=epochs)
             report, _ = run_supcon(cfg, data.features, data.labels)
             loss = kernel_loss(kind, KernelSpec(family, config["scale"]))
             err = directional_error(report.model, loss, p, data.features[batch], np.random.default_rng([seed, 67]))

@@ -181,18 +181,19 @@ def kernel_rows(scores):
         raise DimensionError(f"expected a square score matrix, got shape {s.shape}")
     if s.shape[0] < 2:
         raise DimensionError("need at least 2 points for transition rows")
-    q = np.empty(s.shape)
-    _softmax_rows(s.copy(), 0, q)
-    return q
+    w = s.copy()
+    _softmax_rows(w, 0, w)
+    return w
 
 
 def _softmax_rows(w, start, q, check=True):
     """kernel_rows of the score rows w, rows start, start + 1, ... of a
     square matrix (each row's entry start + i is its diagonal), written
-    into q. w is left holding the shifted scores, its diagonal 0, and the
-    rows' log normalisers lse are returned: log q = w - lse off the
-    diagonal, also where q underflows to 0. check=False skips the scan
-    for non-finite scores, for a caller that has bounded them."""
+    into q, which may be w itself. Otherwise w is left holding the shifted
+    scores, its diagonal 0. The rows' log normalisers lse are returned:
+    log q = w - lse off the diagonal, also where q underflows to 0.
+    check=False skips the scan for non-finite scores, for a caller that
+    has bounded them."""
     diag = (np.arange(len(w)), start + np.arange(len(w)))
     if check:
         w[diag] = 0.0
@@ -264,9 +265,10 @@ def _kernel_rows_pass(z, spec, fill, buffers=None):
 
     The scan for non-finite scores runs only when a bound on them is not
     finite. Rounding is monotone and |y| <= m entrywise (m = 1 for unit
-    rows), so for widths d below 2**50 no computed |score| exceeds
-    8 C d m**2, half of 16 C d m**2; where that bound overflows, the
-    scores are scanned, so the same inputs raise.
+    rows), so for widths d below 2**50 no computed sum of products or of
+    squared differences exceeds 8 d m**2, and no score 8 C d m**2; both
+    are half of 16 max(C, 1) d m**2 or less. Where that bound overflows,
+    the scores are scanned, so the same inputs raise.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[0] < 2:
@@ -280,7 +282,7 @@ def _kernel_rows_pass(z, spec, fill, buffers=None):
         buffers = _kernel_rows_buffers(n)
     left, right = _score_operands(y, spec)
     m = 1.0 if angular else float(np.max(np.abs(y), initial=0.0))
-    check = not np.isfinite(16.0 * spec.scale * d * m * m)
+    check = not np.isfinite(16.0 * max(spec.scale, 1.0) * d * m * m)
     # [y, 1]: each product gives t @ y (or t.T @ y) and t's row (or column) sums
     y1 = np.ones((n, d + 1))
     y1[:, :-1] = y

@@ -310,10 +310,16 @@ class TestBlockedStep:
             return real_pass(z, spec, fill_and_record, buffers)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
             mp.setattr(bicon.trainers, "_kernel_rows_pass", recording)
+            whole_loss, whole = value_and_grads(FreeEmbedding(z), kernel_loss(div, spec), p, z)
+            assert blocks == [n]
+            blocks.clear()
+            mp.setattr(bicon.kernels, "_STEP_FLOATS", block * n)
             loss, grads = value_and_grads(FreeEmbedding(z), kernel_loss(div, spec), p, z)
         assert blocks == [block] * (n // block) + [n % block]
+        # blocking changes only how t's products with [z, 1] are summed
+        assert loss == whole_loss
+        assert np.max(np.abs(grads["embedding"] - whole["embedding"])) <= 1e-12 * np.max(np.abs(whole["embedding"]))
         want_loss, want_q, want_grad = dense_step(div, p, z, spec)
         assert np.array_equal(seen, want_q)
         if not floors_inactive(div, p, want_q):
@@ -415,6 +421,16 @@ class TestBlockedStep:
         loss = kernel_loss("KL", KernelSpec("distance", 1.0))
         with pytest.raises(DimensionError, match="N >= 2"):
             loss(np.zeros((n, n)), np.zeros((n, 2)))
+
+    @pytest.mark.parametrize("div", DIVS)
+    @pytest.mark.parametrize("scale, big", [(0.1, 1e154), (1e-300, 1e160), (2.5, 1e154)])
+    def test_overflowing_distances_raise_at_any_scale(self, div, scale, big):
+        # the squared distance overflows before the scale shrinks it, so a
+        # score is -inf although C times the distance bound is finite
+        z = np.array([[big], [-big], [0.0]])
+        loss = kernel_loss(div, KernelSpec("distance", scale))
+        with pytest.raises(DomainError, match="non-finite"):
+            loss(np.full((3, 3), 0.5) - 0.5 * np.eye(3), z)
 
 
 class TestTrainedStates:
