@@ -17,12 +17,12 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from itertools import product
 from pathlib import Path
 
 from .data import DatasetSpec, LabeledMatrix, _validate_spec, emit_report_csv, emit_scatter_svg, generate
-from .errors import ConfigError, DimensionError, DomainError, NumericalError, ParseError
+from .errors import ConfigError, DimensionError, DomainError, NumericalError, ParseError, check_field_types
 from .evaluation import METRICS, metric
 from .gradcheck import SCOPES, TOL, run_scope
 from .model import features, load_checkpoint, save_checkpoint
@@ -57,8 +57,6 @@ def config_hash(obj):
 
 def split_config(raw):
     """Split a flat config dict into trainer keys and dataset keys."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a flat JSON object")
     loss, data = {}, {}
     for key, value in raw.items():
         if key in _DATA_KEYS:
@@ -75,9 +73,12 @@ def _load_config(path):
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a flat JSON object")
+    return raw
 
 
 def _parse_token(token):
@@ -123,20 +124,23 @@ def _write_metrics_csv(path, rows, digest, seed, mode="w"):
         fh.write(header + "".join(f"{name},{value:.17g},{digest},{seed}\n" for name, value in rows))
 
 
-def _execute_run(task, loss, data, out_dir, config_path, inputs=None):
-    """One trainer invocation: resolve, train, and emit all output files.
-
-    inputs(cfg, spec), if given, returns the dataset and the engine's
-    one-off target (trainers.build_target), or None for the engine to
-    build; without it the dataset is generated here.
-
-    Returns (manifest dict, final metric rows)."""
+def _resolve_run(task, raw):
+    """The resolved trainer config and the checked DatasetSpec of one run
+    of the command's task, from its flat config."""
+    loss, data = split_config(raw)
     declared = loss.get("task")
     if declared is not None and declared != task:
         raise ConfigError(f"config task {declared!r} does not match command {task!r}")
     cfg = resolve_config({**loss, "task": task})
     spec = DatasetSpec(**data)
-    dataset, target = (generate(spec), None) if inputs is None else inputs(cfg, spec)
+    _validate_spec(spec)
+    return cfg, spec
+
+
+def _execute_run(cfg, spec, dataset, target, out_dir, config_path):
+    """Train one resolved run (_resolve_run) on its dataset and its
+    engine's one-off target (trainers.build_target; None for supcon), and
+    emit all output files. Returns (manifest dict, final metric rows)."""
     x, labels = dataset.features, dataset.labels
 
     manifest = {"config": asdict(cfg), "data": asdict(spec)}
@@ -145,13 +149,13 @@ def _execute_run(task, loss, data, out_dir, config_path, inputs=None):
     manifest["config_path"] = str(config_path)
     manifest["out"] = str(out_dir)
 
-    LOG.info("run %s -> %s (hash %s)", task, out_dir, digest)
-    engine = {"sne": run_sne, "cluster": run_cluster, "supcon": run_supcon}[task]
+    LOG.info("run %s -> %s (hash %s)", cfg.task, out_dir, digest)
+    engine = {"sne": run_sne, "cluster": run_cluster, "supcon": run_supcon}[cfg.task]
     report, output = engine(cfg, x, labels) if target is None else engine(cfg, x, labels, target)
 
     rows = [("loss", report.losses[-1])]
     rows += sorted(report.snapshots[-1][1].items())
-    if task == "supcon":
+    if cfg.task == "supcon":
         rows.append(("collapsed", float(report.collapsed)))
 
     out_dir = Path(out_dir)
@@ -209,12 +213,13 @@ def _read_only(value):
 
 def cmd_run(args):
     raw = _load_config(args.config)
-    loss, data = split_config(raw)
     if args.seed is not None:
-        loss["seed"] = raw["seed"] = args.seed
+        raw["seed"] = args.seed
     axes = parse_sweep(args.sweep)
     if not axes:
-        _, rows = _execute_run(args.task, loss, data, args.out, args.config)
+        cfg, spec = _resolve_run(args.task, raw)
+        dataset = generate(spec)
+        _, rows = _execute_run(cfg, spec, dataset, build_target(cfg, dataset.features), args.out, args.config)
         for name, value in rows:
             print(f"{name}={value:.17g}")
         return EXIT_OK
@@ -226,25 +231,23 @@ def cmd_run(args):
     if unknown:
         raise ConfigError(f"unknown sweep keys: {', '.join(unknown)}")
 
-    cells = []
+    cells = []  # every cell is resolved before any cell trains
     for index, name, overrides in sweep_cells(axes):
-        cell_loss, cell_data = split_config({**raw, **overrides})
-        cfg = resolve_config({**cell_loss, "task": args.task})
-        spec = DatasetSpec(**cell_data)
-        _validate_spec(spec)
+        cfg, spec = _resolve_run(args.task, {**raw, **overrides})
         if "seed" not in swept:
             # isolate each cell's RNG streams behind its own derived seed
-            cell_loss["seed"] = loss.get("seed", 0) + index
+            cfg = replace(cfg, seed=cfg.seed + index)
+            check_field_types(cfg)
         data_key = json.dumps(asdict(spec), sort_keys=True)
         key = None if target_key(cfg) is None else (data_key, target_key(cfg))
-        cells.append((name, cell_loss, cell_data, data_key, key))
+        cells.append((name, cfg, spec, data_key, key))
 
-    # each distinct dataset and target is built once, read-only, for the
-    # cells that share it; those cells are queued one after another and a
-    # key's arrays are dropped after its last cell, so that no more keys
-    # are alive at once than there are jobs, plus one
-    datasets = _Shared(data_key for *_, data_key, _ in cells)
-    targets = _Shared(key for *_, key in cells if key is not None)
+    # each distinct dataset (keyed by a JSON string) and target (by a
+    # tuple) is built once, read-only, for the cells that share it; those
+    # cells are queued one after another and a key's arrays are dropped
+    # after its last cell, so that no more keys are alive at once than
+    # there are jobs, plus one
+    shared = _Shared(k for *_, data_key, key in cells for k in (data_key, key) if k is not None)
     rank = {}
     for *_, data_key, key in cells:
         rank.setdefault(data_key, len(rank))
@@ -253,23 +256,18 @@ def cmd_run(args):
     out_root = Path(args.out)
 
     def _worker(cell):
-        name, cell_loss, cell_data, data_key, key = cell
-
-        def inputs(cfg, spec):
-            dataset = datasets.get(data_key, lambda: _read_only(generate(spec)))
-            if key is None:
-                return dataset, None
-            return dataset, targets.get(key, lambda: _read_only(build_target(cfg, dataset.features)))
-
+        name, cfg, spec, data_key, key = cell
         try:
-            manifest, rows = _execute_run(args.task, cell_loss, cell_data, out_root / name, args.config, inputs)
-            return name, rows, manifest["hash"], manifest["config"]["seed"], None
+            dataset = shared.get(data_key, lambda: _read_only(generate(spec)))
+            target = None if key is None else shared.get(key, lambda: _read_only(build_target(cfg, dataset.features)))
+            manifest, rows = _execute_run(cfg, spec, dataset, target, out_root / name, args.config)
+            return name, rows, manifest["hash"], cfg.seed, None
         except NumericalError as exc:
             return name, None, None, None, str(exc)
         finally:
-            datasets.release(data_key)
-            if key is not None:
-                targets.release(key)
+            for k in (data_key, key):
+                if k is not None:
+                    shared.release(k)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         futures = {i: pool.submit(_worker, cells[i]) for i in order}

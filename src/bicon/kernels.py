@@ -340,10 +340,10 @@ def supervisory_sne(x, perplexity):
 
     Row i is exp(-beta_i ||x_i - x_j||^2) normalized over j != i, with
     beta_i = 1 / (2 sigma_i^2) chosen so that exp(row entropy) matches
-    the requested perplexity within _PERPLEXITY_TOL. The one
-    squared_distances matrix is searched a block of rows at a time, about
-    2**15 / N rows per block, in a set of block buffers reused by every
-    step and block.
+    the requested perplexity within _PERPLEXITY_TOL. Rows are searched a
+    block at a time, about 2**15 / N rows per block, each block on its own
+    rows of squared_distances (the bits of the whole matrix) in a set of
+    block buffers reused by every step and block; P is the one N x N array.
 
     Each row's distances are first scaled by the power of two that puts
     the largest in [0.5, 1), and beta, in those units, starts at the
@@ -369,13 +369,13 @@ def supervisory_sne(x, perplexity):
     if not (2.0 <= perplexity <= n - 1):
         raise DomainError(f"perplexity must lie in [2, N-1] = [2, {n - 1}], got {perplexity!r}")
     target = float(perplexity)
-    d2 = _finite(squared_distances(x))
     P = np.empty((n, n))
     block = max(1, _BLOCK_FLOATS // n)
     # scaled distances, exponents and weights of one block
     buffers = np.empty((3, min(block, n), n))
     for start in range(0, n, block):
-        _sne_block(d2[start:start + block], start, target, P[start:start + block], buffers)
+        d2 = _finite(squared_distances(x[start:start + block], x))
+        _sne_block(d2, start, target, P[start:start + block], buffers)
     return P
 
 

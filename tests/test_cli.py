@@ -480,6 +480,21 @@ class TestSweep:
         assert "need seed >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("seed, sweep, message", [
+        # cell 0 keeps the seed 2**63 - 1; cell 1's derived seed is 2**63
+        (2**63 - 1, "divergence=KL,TV", "seed must lie in [-2**63, 2**63), got an integer of 64 bits"),
+        (0, "task=sne,cluster", "config task 'cluster' does not match command 'sne'"),
+    ], ids=["derived-seed-past-int64", "task-of-another-command"])
+    def test_a_cell_that_resolves_only_in_the_sweep_fails_before_any_training(self, tmp_path, capsys, jobs,
+                                                                              seed, sweep, message):
+        cfg = write_json(tmp_path / "cfg.json", sne_config(seed=seed))
+        out = tmp_path / "o"
+        rc = main(["run", "sne", "--config", cfg, "--out", str(out), "--jobs", jobs, "--sweep", sweep])
+        assert rc == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("sweep, message", [
         (["divergence=KL,KL"], "--sweep 'divergence=KL,KL' repeats a value or the key of another axis"),
         (["divergence=KL", "divergence=TV"], "--sweep 'divergence=TV' repeats a value or the key of another axis"),

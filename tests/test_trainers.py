@@ -445,6 +445,26 @@ class TestTrainedStates:
         assert {name.split("/")[0] for name in results} == {"sne", "supcon"}
         assert {name: err for name, err in results.items() if not err <= TOL} == {}
 
+    @pytest.fixture(scope="class")
+    def blobs_600(self):
+        x = generate(DatasetSpec("gaussian_blobs", n=600, d=10, classes=3, separation=8.0, seed=0)).features
+        return supervisory_sne(x, 30.0), x
+
+    # TV is left out, as in check_trained: pairs cross its kink within the
+    # stencil's reach (3.5e-6 distance, 1.8e-4 angular)
+    @pytest.mark.parametrize("div", ["KL", "JSD", "Hellinger"])
+    @pytest.mark.parametrize("family, scale", [("distance", 4.0), ("angular", 10.0)])
+    def test_two_real_size_blocks_give_the_loss_gradient(self, blobs_600, div, family, scale):
+        # at N = 600 the pass runs its real blocks of 2**18 // 600 = 436 rows, then 164
+        import bicon.kernels
+        from bicon.gradcheck import TOL, directional_error
+
+        p, x = blobs_600
+        assert -(-600 // (bicon.kernels._STEP_FLOATS // 600)) == 2
+        rng = np.random.default_rng(0)
+        model = FreeEmbedding.init(600, 2, rng, scale=0.3)
+        assert directional_error(model, kernel_loss(div, KernelSpec(family, scale)), p, x, rng) <= TOL
+
 
 def scatter(target, b):
     """The b x b rows of a cluster batch target (S, p_S)."""
